@@ -26,8 +26,9 @@ uint64_t EstimateBytes(const std::vector<ColumnVector>& columns) {
 }
 
 ComputeNode::ComputeNode(int node_id, int num_slices,
-                         storage::StorageOptions options)
-    : node_id_(node_id), options_(options), slices_(num_slices) {}
+                         storage::StorageOptions options,
+                         storage::CommitClock* clock)
+    : node_id_(node_id), options_(options), clock_(clock), slices_(num_slices) {}
 
 Status ComputeNode::CreateShards(const TableSchema& schema) {
   common::MutexLock lock(mu_);
@@ -35,8 +36,8 @@ Status ComputeNode::CreateShards(const TableSchema& schema) {
     if (slice.count(schema.name())) {
       return Status::AlreadyExists("shard exists for " + schema.name());
     }
-    slice[schema.name()] =
-        std::make_shared<storage::TableShard>(schema, options_, &store_);
+    slice[schema.name()] = std::make_shared<storage::TableShard>(
+        schema, options_, &store_, clock_);
   }
   return Status::OK();
 }
@@ -74,6 +75,16 @@ Result<std::shared_ptr<storage::TableShard>> ComputeNode::shard_ref(
   return it->second;
 }
 
+uint64_t ComputeNode::MaxHeadStamp(const std::string& table) const {
+  uint64_t stamp = 0;
+  common::MutexLock lock(mu_);
+  for (const auto& slice : slices_) {
+    auto it = slice.find(table);
+    if (it != slice.end()) stamp = std::max(stamp, it->second->head_stamp());
+  }
+  return stamp;
+}
+
 const storage::ShardRef* ReadSnapshot::Find(const std::string& table,
                                             int slice) const {
   auto it = tables.find(table);
@@ -82,6 +93,16 @@ const storage::ShardRef* ReadSnapshot::Find(const std::string& table,
     return nullptr;
   }
   return &it->second[slice];
+}
+
+uint64_t ReadSnapshot::Stamp(const std::string& table) const {
+  uint64_t stamp = 0;
+  auto it = tables.find(table);
+  if (it == tables.end()) return stamp;
+  for (const storage::ShardRef& ref : it->second) {
+    stamp = std::max(stamp, ref.version->version);
+  }
+  return stamp;
 }
 
 StagedWrite::~StagedWrite() {
@@ -102,7 +123,7 @@ Cluster::Cluster(ClusterConfig config)
   SDW_CHECK(config.slices_per_node >= 1);
   for (int n = 0; n < config.num_nodes; ++n) {
     nodes_.push_back(std::make_unique<ComputeNode>(
-        n, config.slices_per_node, config.storage));
+        n, config.slices_per_node, config.storage, &commit_clock_));
   }
   int threads = config.exec_pool_threads;
   if (threads < 0) {
@@ -254,6 +275,14 @@ Status Cluster::PinTables(const std::vector<std::string>& tables,
     }
   }
   return Status::OK();
+}
+
+uint64_t Cluster::HeadStamp(const std::string& table) const {
+  uint64_t stamp = 0;
+  for (const auto& node : nodes_) {
+    stamp = std::max(stamp, node->MaxHeadStamp(table));
+  }
+  return stamp;
 }
 
 Status Cluster::CreateTable(const TableSchema& schema) {
@@ -560,7 +589,7 @@ Status Cluster::InsertRows(const std::string& table,
       StagedWrite::Pending* pending = staged->Find(shard_sp.get());
       storage::ShardSnapshot base =
           pending != nullptr ? pending->next : shard_sp->Snapshot();
-      SDW_ASSIGN_OR_RETURN(storage::ShardSnapshot next,
+      SDW_ASSIGN_OR_RETURN(storage::PreparedVersion next,
                            shard_sp->PrepareAppend(base, slice_rows));
       if (pending != nullptr) {
         pending->next = std::move(next);
@@ -611,6 +640,13 @@ Status Cluster::Analyze(const std::string& table) {
     stats.columns[c].distinct_estimate = hashes[c].size();
   }
   catalog_.UpdateStats(table, stats);
+  // Re-install after the stats land: a reader that pins a fresh stamp
+  // plans against the fresh stats.
+  for (int s = 0; s < total_slices(); ++s) {
+    SDW_ASSIGN_OR_RETURN(std::shared_ptr<storage::TableShard> shard_sp,
+                         shard_ref(s, table));
+    SDW_RETURN_IF_ERROR(shard_sp->InstallChains(shard_sp->Snapshot()->chains));
+  }
   return Status::OK();
 }
 
@@ -636,7 +672,7 @@ Result<uint64_t> Cluster::Vacuum(const std::string& table,
     SDW_ASSIGN_OR_RETURN(std::vector<uint64_t> order,
                          SortOrder(shard_sp->schema(), data));
     SDW_ASSIGN_OR_RETURN(data, TakeRows(data, order));
-    SDW_ASSIGN_OR_RETURN(storage::ShardSnapshot next,
+    SDW_ASSIGN_OR_RETURN(storage::PreparedVersion next,
                          shard_sp->PrepareRewrite(base, data));
     for (const auto& chain : base->chains) {
       blocks_rewritten += chain.size();

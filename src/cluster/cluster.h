@@ -47,7 +47,10 @@ struct ClusterConfig {
 /// thread; the shards themselves version their chains (MVCC).
 class ComputeNode {
  public:
-  ComputeNode(int node_id, int num_slices, storage::StorageOptions options);
+  /// `clock` is the owning cluster's commit clock; every shard created
+  /// here stamps its installs from it.
+  ComputeNode(int node_id, int num_slices, storage::StorageOptions options,
+              storage::CommitClock* clock);
   ComputeNode(const ComputeNode&) = delete;
   ComputeNode& operator=(const ComputeNode&) = delete;
 
@@ -74,10 +77,15 @@ class ComputeNode {
   Result<std::shared_ptr<storage::TableShard>> shard_ref(
       int slice, const std::string& table) SDW_EXCLUDES(mu_);
 
+  /// The highest head stamp among this node's shards of `table` (0 when
+  /// it has none), read in place: no pin, no shared_ptr copy.
+  uint64_t MaxHeadStamp(const std::string& table) const SDW_EXCLUDES(mu_);
+
  private:
   int node_id_;
   storage::StorageOptions options_;
   storage::BlockStore store_;
+  storage::CommitClock* const clock_;
   mutable common::Mutex mu_{common::LockRank::kComputeNode};
   std::vector<std::map<std::string, std::shared_ptr<storage::TableShard>>>
       slices_ SDW_GUARDED_BY(mu_);
@@ -99,6 +107,10 @@ struct ReadSnapshot {
   /// The pinned ref of (table, global slice), or nullptr if the table
   /// was not pinned (e.g. dropped before the pin).
   const storage::ShardRef* Find(const std::string& table, int slice) const;
+
+  /// The highest commit stamp among `table`'s pinned versions (0 when
+  /// the table was not pinned).
+  uint64_t Stamp(const std::string& table) const;
 };
 
 /// Chain versions built off to the side by one mutating statement
@@ -125,7 +137,7 @@ class StagedWrite {
     /// The head the statement built on — Install's expected version.
     storage::ShardSnapshot base;
     /// The staged replacement (chains appends across multiple runs).
-    storage::ShardSnapshot next;
+    storage::PreparedVersion next;
   };
 
   Pending* Find(const storage::TableShard* shard);
@@ -176,6 +188,12 @@ class Cluster {
   /// reports them). See ReadSnapshot for the atomicity contract.
   Status PinTables(const std::vector<std::string>& tables, ReadSnapshot* out);
 
+  /// The highest commit stamp among `table`'s shard heads right now (0:
+  /// no such table) — what ReadSnapshot::Stamp would report for a pin
+  /// taken at this instant, without taking one. Every install draws a
+  /// fresh stamp, so it moves whenever any shard of the table installs.
+  uint64_t HeadStamp(const std::string& table) const;
+
   /// DDL. DropTable unlinks the table immediately but defers block
   /// deletion to CollectGarbage so pinned snapshot readers finish
   /// their scans.
@@ -192,7 +210,10 @@ class Cluster {
                     StagedWrite* staged = nullptr) SDW_EXCLUDES(mu_);
 
   /// Recomputes table statistics (row count, min/max, NDV estimate)
-  /// from the stored data — the ANALYZE that COPY runs implicitly.
+  /// from the stored data — the ANALYZE that COPY runs implicitly —
+  /// then re-installs every shard head unchanged, so the fresh stamps
+  /// move the cache key of every query over the table and no plan
+  /// lowered against the old stats is served again.
   Status Analyze(const std::string& table);
 
   /// Re-sorts and rewrites every slice's shard. Each COPY sorts its own
@@ -351,6 +372,8 @@ class Cluster {
 
   ClusterConfig config_;
   Catalog catalog_;
+  /// Stamps every shard version installed anywhere in this cluster.
+  storage::CommitClock commit_clock_{0};
   std::vector<std::unique_ptr<ComputeNode>> nodes_;
   std::unique_ptr<common::ThreadPool> pool_;
   std::unique_ptr<replication::ReplicationManager> replication_;

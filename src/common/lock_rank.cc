@@ -83,7 +83,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kWorkloadReplay: return "kWorkloadReplay";
     case LockRank::kWarehouseWriter: return "kWarehouseWriter";
     case LockRank::kWarehouseData: return "kWarehouseData";
-    case LockRank::kWarehouseVersions: return "kWarehouseVersions";
     case LockRank::kQueryCache: return "kQueryCache";
     case LockRank::kCatalog: return "kCatalog";
     case LockRank::kShardDecodeCache: return "kShardDecodeCache";

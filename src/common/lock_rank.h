@@ -28,11 +28,10 @@ enum class LockRank : int {
   kWorkloadReplay = 50,  // workload::Replayer dispatch queue mutex
 
   // ---- warehouse front door (outermost) ----
-  kWarehouseWriter = 100,    // Warehouse::writer_mu_
-  kWarehouseData = 150,      // Warehouse::data_mu_
-  kWarehouseVersions = 200,  // Warehouse::cache_mu_ (table-version map)
-  kQueryCache = 210,         // LruQueryCache::mu_ (segment/result caches)
-  kCatalog = 250,            // Catalog::mu_
+  kWarehouseWriter = 100,  // Warehouse::writer_mu_
+  kWarehouseData = 150,    // Warehouse::data_mu_
+  kQueryCache = 210,       // LruQueryCache::mu_ (segment/result caches)
+  kCatalog = 250,          // Catalog::mu_
 
   // ---- data plane ----
   kShardDecodeCache = 300,  // TableShard::cache_mu_ (held across store Get)

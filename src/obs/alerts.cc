@@ -97,7 +97,7 @@ std::vector<AlertEvent> EvaluateQueryAlerts(const QueryAlertInputs& in) {
     e.tick = in.tick;
     e.rule = "result-cache-repeat-miss";
     e.evidence = 1;
-    e.detail = "repeated statement fingerprint missed the result cache";
+    e.detail = "repeated statement found its result-cache entry stale";
     e.action = "check for write-driven invalidation churn on the tables this "
                "statement reads";
     out.push_back(std::move(e));

@@ -51,9 +51,8 @@ struct QueryAlertInputs {
   uint64_t masked_reads = 0;
   double queue_seconds = 0;
   double exec_seconds = 0;
-  /// True when the result cache was consulted, missed, and the same
-  /// statement fingerprint had been seen before — a repeat that should
-  /// have hit.
+  /// True when the result-cache lookup found this statement's entry but
+  /// dropped it as stale — a repeat that a write invalidated.
   bool repeat_cache_miss = false;
 };
 
@@ -65,8 +64,8 @@ struct QueryAlertInputs {
 ///    blocks the query read; it is running on degraded copies.
 ///  - queue-wait-exceeds-exec: admission wait exceeded execution time
 ///    (and was >50ms) — concurrency, not the query, is the bottleneck.
-///  - result-cache-repeat-miss: a repeated statement missed the result
-///    cache it was eligible for.
+///  - result-cache-repeat-miss: a repeated statement found its result-
+///    cache entry invalidated by a write.
 std::vector<AlertEvent> EvaluateQueryAlerts(const QueryAlertInputs& in);
 
 /// Sweep-time threshold rules over one gauge sample.

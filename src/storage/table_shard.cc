@@ -32,11 +32,16 @@ std::vector<BlockId> DiffBlocks(const ShardVersion& from,
 }  // namespace
 
 TableShard::TableShard(TableSchema schema, StorageOptions options,
-                       BlockStore* store)
-    : schema_(std::move(schema)), options_(options), store_(store) {
+                       BlockStore* store, CommitClock* clock)
+    : schema_(std::move(schema)),
+      options_(options),
+      store_(store),
+      clock_(clock != nullptr ? clock : &own_clock_) {
   auto head = std::make_shared<ShardVersion>();
+  head->version = ++*clock_;
   head->chains.resize(schema_.num_columns());
   common::MutexLock lock(head_mu_);
+  head_stamp_.store(head->version);
   head_ = std::move(head);
 }
 
@@ -58,12 +63,12 @@ size_t TableShard::EstimateWidth(const ColumnVector& values) {
 
 Status TableShard::Append(const std::vector<ColumnVector>& columns) {
   ShardSnapshot base = Snapshot();
-  SDW_ASSIGN_OR_RETURN(ShardSnapshot next, PrepareAppend(base, columns));
-  if (next == base) return Status::OK();  // empty run, nothing staged
+  SDW_ASSIGN_OR_RETURN(PreparedVersion next, PrepareAppend(base, columns));
+  if (next->row_count == base->row_count) return Status::OK();  // empty run
   return Install(base, std::move(next));
 }
 
-Result<ShardSnapshot> TableShard::PrepareAppend(
+Result<PreparedVersion> TableShard::PrepareAppend(
     const ShardSnapshot& base, const std::vector<ColumnVector>& columns) {
   if (base == nullptr) {
     return Status::InvalidArgument("PrepareAppend without a base version");
@@ -81,23 +86,18 @@ Result<ShardSnapshot> TableShard::PrepareAppend(
                                      schema_.column(c).name);
     }
   }
-  if (n == 0) return base;  // no new version needed
-
-  auto next = std::make_shared<ShardVersion>();
-  next->version = base->version + 1;
-  next->chains = base->chains;
-  next->row_count = base->row_count;
-  next->encoded_bytes = base->encoded_bytes;
+  auto next = std::make_shared<ShardVersion>(*base);
+  if (n == 0) return next;
   const uint64_t first_row = base->row_count;
   for (size_t c = 0; c < columns.size(); ++c) {
     SDW_RETURN_IF_ERROR(AppendColumnTo(&next->chains[c], c, columns[c],
                                        first_row, &next->encoded_bytes));
   }
   next->row_count += n;
-  return ShardSnapshot(std::move(next));
+  return next;
 }
 
-Result<ShardSnapshot> TableShard::PrepareRewrite(
+Result<PreparedVersion> TableShard::PrepareRewrite(
     const ShardSnapshot& base, const std::vector<ColumnVector>& columns) {
   if (base == nullptr) {
     return Status::InvalidArgument("PrepareRewrite without a base version");
@@ -107,7 +107,6 @@ Result<ShardSnapshot> TableShard::PrepareRewrite(
   }
   const size_t n = columns.empty() ? 0 : columns[0].size();
   auto next = std::make_shared<ShardVersion>();
-  next->version = base->version + 1;
   next->chains.resize(schema_.num_columns());
   if (n > 0) {
     for (size_t c = 0; c < columns.size(); ++c) {
@@ -120,10 +119,11 @@ Result<ShardSnapshot> TableShard::PrepareRewrite(
     }
     next->row_count = n;
   }
-  return ShardSnapshot(std::move(next));
+  return next;
 }
 
-Status TableShard::Install(const ShardSnapshot& expected, ShardSnapshot next) {
+Status TableShard::Install(const ShardSnapshot& expected,
+                           PreparedVersion next) {
   if (next == nullptr) {
     return Status::InvalidArgument("Install of a null version");
   }
@@ -138,6 +138,8 @@ Status TableShard::Install(const ShardSnapshot& expected, ShardSnapshot next) {
   // set: delete sets are cumulative along the chain, so a pin on this
   // version must also block reclamation of every later retiree.
   retired_.push_back({head_, DiffBlocks(*head_, *next)});
+  next->version = ++*clock_;
+  head_stamp_.store(next->version);
   head_ = std::move(next);
   installed->Add();
   return Status::OK();
@@ -322,13 +324,12 @@ Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
   return shared;
 }
 
-Result<std::shared_ptr<ShardVersion>> TableShard::BuildVersion(
-    std::vector<std::vector<BlockMeta>> chains, uint64_t version) const {
+Result<PreparedVersion> TableShard::BuildVersion(
+    std::vector<std::vector<BlockMeta>> chains) const {
   if (chains.size() != schema_.num_columns()) {
     return Status::InvalidArgument("chain count != schema column count");
   }
   auto built = std::make_shared<ShardVersion>();
-  built->version = version;
   uint64_t rows = 0;
   for (size_t c = 0; c < chains.size(); ++c) {
     uint64_t expected_row = 0;
@@ -352,18 +353,18 @@ Result<std::shared_ptr<ShardVersion>> TableShard::BuildVersion(
 
 Status TableShard::LoadChains(std::vector<std::vector<BlockMeta>> chains) {
   ShardSnapshot base = Snapshot();
-  if (base->row_count != 0 || base->version != 0) {
+  // Every head carries a stamp, even the empty one CREATE TABLE made,
+  // so emptiness is the row count, not an unstamped version.
+  if (base->row_count != 0) {
     return Status::FailedPrecondition("LoadChains on a non-empty shard");
   }
-  SDW_ASSIGN_OR_RETURN(std::shared_ptr<ShardVersion> next,
-                       BuildVersion(std::move(chains), base->version + 1));
+  SDW_ASSIGN_OR_RETURN(PreparedVersion next, BuildVersion(std::move(chains)));
   return Install(base, std::move(next));
 }
 
 Status TableShard::InstallChains(std::vector<std::vector<BlockMeta>> chains) {
   ShardSnapshot base = Snapshot();
-  SDW_ASSIGN_OR_RETURN(std::shared_ptr<ShardVersion> next,
-                       BuildVersion(std::move(chains), base->version + 1));
+  SDW_ASSIGN_OR_RETURN(PreparedVersion next, BuildVersion(std::move(chains)));
   return Install(base, std::move(next));
 }
 

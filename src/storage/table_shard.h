@@ -63,6 +63,8 @@ struct BlockMeta {
 /// of readers can scan it without locks while writers build successor
 /// versions off to the side.
 struct ShardVersion {
+  /// The commit stamp Install drew from the shard's CommitClock as it
+  /// published this version.
   uint64_t version = 0;
   std::vector<std::vector<BlockMeta>> chains;
   uint64_t row_count = 0;
@@ -73,6 +75,17 @@ struct ShardVersion {
 /// version references alive: garbage collection only reclaims versions
 /// whose snapshot is no longer referenced anywhere.
 using ShardSnapshot = std::shared_ptr<const ShardVersion>;
+
+/// A version built off to the side and not yet installed: only its
+/// writer holds it, and Install stamps it as it publishes it.
+using PreparedVersion = std::shared_ptr<ShardVersion>;
+
+/// The counter installs draw their commit stamps from (++clock; the
+/// first stamp is 1). A cluster owns one and shares it with every shard
+/// it creates, so a stamp orders each install against every other
+/// install in that cluster, across tables, DROP and re-CREATE; a
+/// standalone shard owns its own.
+using CommitClock = std::atomic<uint64_t>;
 
 class TableShard;
 
@@ -91,19 +104,25 @@ struct ShardRef {
 /// head_mu_. Readers pin a version with Snapshot() and scan it without
 /// further coordination. Writers stage new blocks with PrepareAppend /
 /// PrepareRewrite (store writes happen here, but no reader can see the
-/// blocks yet) and make them visible with Install, which atomically
-/// swaps the head and retires the old version onto a FIFO garbage
-/// queue. CollectGarbage deletes the blocks of retired versions once
-/// their snapshots are unreferenced.
+/// blocks yet) and make them visible with Install, which stamps the
+/// version from the commit clock, atomically swaps the head and retires
+/// the old version onto a FIFO garbage queue. CollectGarbage deletes the
+/// blocks of retired versions once their snapshots are unreferenced.
 class TableShard {
  public:
-  TableShard(TableSchema schema, StorageOptions options, BlockStore* store);
+  /// `clock` stamps every version this shard publishes, starting with
+  /// the empty head made here; null gives the shard a clock of its own.
+  TableShard(TableSchema schema, StorageOptions options, BlockStore* store,
+             CommitClock* clock = nullptr);
 
   const TableSchema& schema() const { return schema_; }
 
   /// Pins the current head version. [[nodiscard]]: a dropped pin is a
   /// no-op that reads like a consistency guarantee.
   [[nodiscard]] ShardSnapshot Snapshot() const SDW_EXCLUDES(head_mu_);
+
+  /// The current head's commit stamp, read without pinning the head.
+  uint64_t head_stamp() const { return head_stamp_.load(); }
 
   /// Rows / bytes / chain metadata of the current head (backup,
   /// replication, system tables and benches walk these; scans should
@@ -130,22 +149,23 @@ class TableShard {
   /// new blocks to the store. The result is invisible to readers until
   /// Install; abandon it with DiscardPrepared. `base` may itself be a
   /// prepared-but-uninstalled version (multi-run statements chain their
-  /// appends and install once).
-  Result<ShardSnapshot> PrepareAppend(const ShardSnapshot& base,
-                                      const std::vector<ColumnVector>& columns);
+  /// appends and install once). An empty run yields a copy of `base`.
+  Result<PreparedVersion> PrepareAppend(
+      const ShardSnapshot& base, const std::vector<ColumnVector>& columns);
 
   /// Builds a full replacement version (VACUUM rewrite): fresh chains
   /// holding exactly `columns` starting at row 0, as a successor of
   /// `base`. Invisible until Install.
-  Result<ShardSnapshot> PrepareRewrite(const ShardSnapshot& base,
-                                       const std::vector<ColumnVector>& columns);
+  Result<PreparedVersion> PrepareRewrite(
+      const ShardSnapshot& base, const std::vector<ColumnVector>& columns);
 
-  /// Publishes `next`: atomically swaps the head from `expected` to
-  /// `next` and retires `expected` (its blocks absent from `next`
-  /// become the retired version's delete set). Fails with
-  /// FailedPrecondition if the head moved since `expected` was pinned —
-  /// callers serialize writers, so that indicates a bug.
-  Status Install(const ShardSnapshot& expected, ShardSnapshot next)
+  /// Publishes `next`: stamps it with the next commit stamp, atomically
+  /// swaps the head from `expected` to `next` and retires `expected`
+  /// (its blocks absent from `next` become the retired version's delete
+  /// set). Fails with FailedPrecondition if the head moved since
+  /// `expected` was pinned — callers serialize writers, so that
+  /// indicates a bug.
+  Status Install(const ShardSnapshot& expected, PreparedVersion next)
       SDW_EXCLUDES(head_mu_);
 
   /// Deletes the blocks a prepared-but-uninstalled version added over
@@ -159,9 +179,10 @@ class TableShard {
   Status LoadChains(std::vector<std::vector<BlockMeta>> chains);
 
   /// Installs `chains` as a new version of a live shard (transaction
-  /// rollback restores the pre-transaction manifest this way). Blocks
-  /// only reachable from the current head are retired for GC; readers
-  /// pinned on older versions are unaffected.
+  /// rollback restores the pre-transaction manifest this way; ANALYZE
+  /// re-installs the head's own chains to give it a fresh stamp).
+  /// Blocks only reachable from the current head are retired for GC;
+  /// readers pinned on older versions are unaffected.
   Status InstallChains(std::vector<std::vector<BlockMeta>> chains)
       SDW_EXCLUDES(head_mu_);
 
@@ -237,10 +258,9 @@ class TableShard {
                         uint64_t* bytes);
 
   /// Validates chain invariants (no row gaps, columns agree on row
-  /// count) and builds a version struct from them. `version` is the
-  /// published version number to stamp.
-  Result<std::shared_ptr<ShardVersion>> BuildVersion(
-      std::vector<std::vector<BlockMeta>> chains, uint64_t version) const;
+  /// count) and builds an unstamped version from them.
+  Result<PreparedVersion> BuildVersion(
+      std::vector<std::vector<BlockMeta>> chains) const;
 
   /// Reads + decodes one block, serving repeat reads from a small FIFO
   /// cache (scans pull overlapping blocks once, not once per batch).
@@ -253,6 +273,8 @@ class TableShard {
   TableSchema schema_;
   StorageOptions options_;
   BlockStore* store_;
+  CommitClock own_clock_{0};
+  CommitClock* const clock_;
 
   /// A version retired by Install, waiting for its pins to drain.
   struct Retired {
@@ -269,6 +291,9 @@ class TableShard {
   mutable common::Mutex head_mu_{common::LockRank::kShardHead};
   ShardSnapshot head_ SDW_GUARDED_BY(head_mu_);
   std::deque<Retired> retired_ SDW_GUARDED_BY(head_mu_);
+  /// head_->version, published for lock-free readers; written only under
+  /// head_mu_ together with head_.
+  std::atomic<uint64_t> head_stamp_{0};
 
   /// The decode cache and its FIFO order are the only shard state
   /// mutated by reads, so they carry the shard's read-path lock.

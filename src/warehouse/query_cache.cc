@@ -11,6 +11,7 @@ CacheMetrics MakeCacheMetrics(const std::string& prefix) {
   metrics.misses = registry.counter(prefix + "_misses");
   metrics.insertions = registry.counter(prefix + "_insertions");
   metrics.evictions = registry.counter(prefix + "_evictions");
+  metrics.invalidations = registry.counter("sdw_cache_invalidations");
   return metrics;
 }
 

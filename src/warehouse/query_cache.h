@@ -16,12 +16,19 @@
 
 namespace sdw::warehouse {
 
-/// Snapshot of the version counters of the tables a query reads, taken
-/// under the warehouse data lock. A cache entry is servable only while
-/// every table it was computed from is still at its captured version —
-/// any DML/COPY/VACUUM/DROP/restore bumps the touched counters, so a
-/// stale entry can never match again.
-using TableVersions = std::vector<std::pair<std::string, uint64_t>>;
+/// What a cached value was computed from: the warehouse's data-plane
+/// generation (restore, resize and recovery each swap in a cluster whose
+/// commit stamps start over) and, per table read, the highest MVCC commit
+/// stamp among its shard heads (0: no such table). Every install draws a
+/// fresh stamp, so an entry matches again only while no table it read
+/// has installed anything since — a failed write installs nothing and
+/// leaves it valid.
+struct CacheKey {
+  uint64_t generation = 0;
+  std::vector<std::pair<std::string, uint64_t>> stamps;
+
+  bool operator==(const CacheKey&) const = default;
+};
 
 struct CacheConfig {
   /// Reuse lowered plans for repeated query shapes, skipping planning
@@ -42,12 +49,16 @@ struct CacheMetrics {
   obs::Counter* misses = nullptr;
   obs::Counter* insertions = nullptr;
   obs::Counter* evictions = nullptr;
+  /// Stale entries dropped by a lookup (sdw_cache_invalidations, shared
+  /// by every cache).
+  obs::Counter* invalidations = nullptr;
 };
 
 /// Registers hits/misses/insertions/evictions counters under `prefix`,
 /// which must follow the repo metric naming rule (sdw_<module>_<name>,
 /// enforced by tools/lint.py on the literal at the call site), e.g.
-/// MakeCacheMetrics("sdw_cache_result") -> sdw_cache_result_hits, ...
+/// MakeCacheMetrics("sdw_cache_result") -> sdw_cache_result_hits, ...,
+/// plus the shared invalidations counter.
 CacheMetrics MakeCacheMetrics(const std::string& prefix);
 
 /// Deep copy of a batch (cached results must not alias caller rows).
@@ -55,9 +66,9 @@ exec::Batch CloneBatch(const exec::Batch& batch);
 
 /// A bounded, internally synchronized LRU map from plan fingerprint to
 /// a cached value. Lookups compare the full canonical text (a 64-bit
-/// fingerprint is a bucket key, not an equality proof) and the table
-/// versions the value was computed under; a version mismatch is a miss
-/// and the stale entry is dropped on the spot.
+/// fingerprint is a bucket key, not an equality proof) and the key the
+/// value was computed under; a key mismatch is a miss and the stale
+/// entry is dropped on the spot.
 template <typename V>
 class LruQueryCache {
  public:
@@ -68,9 +79,12 @@ class LruQueryCache {
   /// them; note the counters are process-global per prefix).
   const CacheMetrics& metrics() const { return metrics_; }
 
+  /// Sets `*dropped_stale` (if given) when the statement was cached
+  /// under an older key — the miss is a write-driven invalidation.
   std::shared_ptr<const V> Lookup(uint64_t fingerprint,
                                   const std::string& canonical_text,
-                                  const TableVersions& versions)
+                                  const CacheKey& key,
+                                  bool* dropped_stale = nullptr)
       SDW_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     auto it = entries_.find(fingerprint);
@@ -78,12 +92,14 @@ class LruQueryCache {
       metrics_.misses->Add();
       return nullptr;
     }
-    if (it->second.versions != versions) {
-      // Invalidated by a write since insertion: unservable forever
-      // (versions only move forward), so reclaim the entry eagerly.
+    if (it->second.key != key) {
+      // Invalidated since insertion: unservable forever (commit stamps
+      // and generations are never reused), so reclaim the entry eagerly.
       lru_.erase(it->second.lru_pos);
       entries_.erase(it);
       metrics_.misses->Add();
+      metrics_.invalidations->Add();
+      if (dropped_stale != nullptr) *dropped_stale = true;
       return nullptr;
     }
     ++it->second.hits;
@@ -92,16 +108,15 @@ class LruQueryCache {
     return it->second.value;
   }
 
-  void Insert(uint64_t fingerprint, std::string canonical_text,
-              TableVersions versions, std::shared_ptr<const V> value)
-      SDW_EXCLUDES(mu_) {
+  void Insert(uint64_t fingerprint, std::string canonical_text, CacheKey key,
+              std::shared_ptr<const V> value) SDW_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     auto it = entries_.find(fingerprint);
     if (it != entries_.end()) {
       // Same shape recomputed (or a hash collision): newest wins.
       lru_.splice(lru_.end(), lru_, it->second.lru_pos);
       it->second.canonical_text = std::move(canonical_text);
-      it->second.versions = std::move(versions);
+      it->second.key = std::move(key);
       it->second.value = std::move(value);
       it->second.hits = 0;
       metrics_.insertions->Add();
@@ -114,7 +129,7 @@ class LruQueryCache {
     }
     Entry entry;
     entry.canonical_text = std::move(canonical_text);
-    entry.versions = std::move(versions);
+    entry.key = std::move(key);
     entry.value = std::move(value);
     entry.lru_pos = lru_.insert(lru_.end(), fingerprint);
     entries_.emplace(fingerprint, std::move(entry));
@@ -125,7 +140,7 @@ class LruQueryCache {
   struct EntryView {
     uint64_t fingerprint = 0;
     std::string canonical_text;
-    TableVersions versions;
+    CacheKey key;
     uint64_t hits = 0;
     std::shared_ptr<const V> value;
   };
@@ -137,7 +152,7 @@ class LruQueryCache {
     std::vector<EntryView> out;
     out.reserve(entries_.size());
     for (const auto& [fp, entry] : entries_) {
-      out.push_back({fp, entry.canonical_text, entry.versions, entry.hits,
+      out.push_back({fp, entry.canonical_text, entry.key, entry.hits,
                      entry.value});
     }
     return out;
@@ -151,7 +166,7 @@ class LruQueryCache {
  private:
   struct Entry {
     std::string canonical_text;
-    TableVersions versions;
+    CacheKey key;
     std::shared_ptr<const V> value;
     uint64_t hits = 0;
     std::list<uint64_t>::iterator lru_pos;

@@ -246,20 +246,20 @@ std::string HexFingerprint(uint64_t fp) {
   return std::string(buf);
 }
 
+/// An entry is live while a lookup now would still match it: same
+/// generation, and every table it read still at the stamped head.
 template <typename V>
 void AppendCacheRows(const std::string& cache_name, LruQueryCache<V>* cache,
-                     const std::map<std::string, uint64_t>& current_versions,
+                     const SystemTableSources& sources,
                      size_t (*entry_rows)(const V&), exec::Batch* b) {
   if (cache == nullptr) return;
   for (const auto& entry : cache->Entries()) {
     std::string tables;
-    bool live = true;
-    for (const auto& [table, version] : entry.versions) {
+    bool live = entry.key.generation == sources.generation;
+    for (const auto& [table, stamp] : entry.key.stamps) {
       if (!tables.empty()) tables += ",";
-      tables += table + "@" + std::to_string(version);
-      auto it = current_versions.find(table);
-      const uint64_t current = it == current_versions.end() ? 0 : it->second;
-      if (current != version) live = false;
+      tables += table + "@" + std::to_string(stamp);
+      if (sources.cluster->HeadStamp(table) != stamp) live = false;
     }
     b->columns[0].AppendString(cache_name);
     b->columns[1].AppendString(HexFingerprint(entry.fingerprint));
@@ -276,10 +276,10 @@ exec::Batch BuildStvCache(const SystemTableSources& sources,
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
   AppendCacheRows<plan::PhysicalQuery>(
-      "segment", sources.segment_cache, sources.table_versions,
+      "segment", sources.segment_cache, sources,
       +[](const plan::PhysicalQuery&) -> size_t { return 0; }, &b);
   AppendCacheRows<CachedResult>(
-      "result", sources.result_cache, sources.table_versions,
+      "result", sources.result_cache, sources,
       +[](const CachedResult& r) -> size_t { return r.rows.num_rows(); }, &b);
   return b;
 }

@@ -2,7 +2,6 @@
 #define SDW_WAREHOUSE_SYSTEM_TABLES_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -32,9 +31,9 @@ struct SystemQueryResult {
 };
 
 /// Everything a system-table SELECT may materialize from. The caller
-/// (the warehouse) fills in pointers to its live components plus a
-/// consistent copy of the table-version counters (used by stv_cache to
-/// mark entries live vs stale).
+/// (the warehouse) fills in pointers to its live components plus the
+/// generation captured with `cluster` (stv_cache marks an entry live
+/// while its key still matches that generation and the head stamps).
 struct SystemTableSources {
   const obs::QueryLog* query_log = nullptr;
   const obs::EventLog* event_log = nullptr;
@@ -46,7 +45,7 @@ struct SystemTableSources {
   const obs::InflightRegistry* inflight = nullptr;
   const obs::GaugeHistory* gauges = nullptr;
   const obs::AlertLog* alerts = nullptr;
-  std::map<std::string, uint64_t> table_versions;
+  uint64_t generation = 0;
 };
 
 /// Executes a single-table SELECT whose FROM is a system table. The

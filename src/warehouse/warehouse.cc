@@ -15,13 +15,13 @@ namespace sdw::warehouse {
 
 namespace {
 
-/// Renders a pinned version set for stl_query's snapshot column:
+/// Renders a pinned key's stamps for stl_query's snapshot column:
 /// "fact@3 dim@1".
-std::string FormatVersions(const TableVersions& versions) {
+std::string FormatStamps(const CacheKey& key) {
   std::string out;
-  for (const auto& [table, version] : versions) {
+  for (const auto& [table, stamp] : key.stamps) {
     if (!out.empty()) out += " ";
-    out += table + "@" + std::to_string(version);
+    out += table + "@" + std::to_string(stamp);
   }
   return out;
 }
@@ -195,56 +195,32 @@ void Warehouse::SyncHostManagers() {
   }
 }
 
-TableVersions Warehouse::SnapshotVersions(
-    const std::vector<std::string>& tables) {
-  common::MutexLock lock(cache_mu_);
-  TableVersions out;
-  out.reserve(tables.size());
-  for (const std::string& t : tables) out.emplace_back(t, table_versions_[t]);
-  return out;
-}
-
-void Warehouse::BumpVersions(const std::vector<std::string>& tables) {
-  static obs::Counter* invalidations =
-      obs::Registry::Global().counter("sdw_cache_invalidations");
-  common::MutexLock lock(cache_mu_);
-  for (const std::string& t : tables) {
-    ++table_versions_[t];
-    invalidations->Add();
-  }
-}
-
-void Warehouse::BumpAllVersions() {
-  static obs::Counter* invalidations =
-      obs::Registry::Global().counter("sdw_cache_invalidations");
-  // Union of everything ever versioned and everything currently in the
-  // catalog: a table this warehouse never touched (e.g. arriving with a
-  // restored snapshot) must still get a counter, or queries against it
-  // would cache at version 0 and survive the next whole-plane swap.
-  // Callers hold writer_mu_, so cluster_ is stable here.
-  std::vector<std::string> known = cluster_->catalog()->TableNames();
-  common::MutexLock lock(cache_mu_);
-  for (const std::string& name : known) table_versions_.emplace(name, 0);
-  for (auto& [name, version] : table_versions_) {
-    ++version;
-    invalidations->Add();
-  }
-}
-
 Result<Warehouse::PinnedSnapshot> Warehouse::PinSnapshot(
     const std::vector<std::string>& tables) {
   // The short shared hold that makes MVCC reads coherent: a writer
-  // installs (bump + CommitStaged) under the exclusive mode, so the
-  // {cluster, versions, chains} triple pinned here is all-before or
-  // all-after any statement, never a mix.
+  // installs (CommitStaged) under the exclusive mode, so the {cluster,
+  // key, chains} triple pinned here is all-before or all-after any
+  // statement, never a mix.
   common::ReaderMutexLock data_lock(data_mu_);
   PinnedSnapshot pin;
   pin.cluster = cluster_;
-  pin.versions = SnapshotVersions(tables);
   auto snapshot = std::make_shared<cluster::ReadSnapshot>();
   SDW_RETURN_IF_ERROR(pin.cluster->PinTables(tables, snapshot.get()));
+  pin.key.generation = generation_;
+  for (const std::string& t : tables) {
+    pin.key.stamps.emplace_back(t, snapshot->Stamp(t));
+  }
   pin.snapshot = std::move(snapshot);
   return pin;
+}
+
+CacheKey Warehouse::LiveKey(const std::vector<std::string>& tables) const {
+  CacheKey key;
+  key.generation = generation_;
+  for (const std::string& t : tables) {
+    key.stamps.emplace_back(t, cluster_->HeadStamp(t));
+  }
+  return key;
 }
 
 cluster::Cluster::GcStats Warehouse::CollectGarbage() {
@@ -428,7 +404,7 @@ Status Warehouse::RotateKeys() {
   }
   // Serialized with writers only: the key hierarchy is internally
   // locked, so concurrent SELECTs keep decrypting right through the
-  // rewrap. Data and results are untouched — no version bump.
+  // rewrap. Data and results are untouched — nothing installs.
   common::MutexLock statement_lock(writer_mu_);
   return keys_->RotateClusterKey();
 }
@@ -482,9 +458,6 @@ Status Warehouse::Rollback() {
   }
   {
     common::WriterMutexLock data_lock(data_mu_);
-    // Every table may snap back to its captured chains: invalidate all
-    // cached plans/results before touching anything.
-    BumpAllVersions();
     // Tables created inside the transaction disappear entirely (their
     // blocks linger until no snapshot pins them; DropTable collects).
     std::set<std::string> pre_txn;
@@ -497,7 +470,8 @@ Status Warehouse::Rollback() {
       }
     }
     // Pre-existing tables snap back to their captured chains, installed
-    // as a NEW version on the live shards: blocks are immutable and
+    // as a NEW version on the live shards (its fresh stamp retires every
+    // cache entry read inside the transaction): blocks are immutable and
     // never deleted mid-transaction, so the old chains are fully
     // intact, and a reader pinned mid-transaction keeps its own
     // version. Blocks appended during the transaction retire with the
@@ -573,11 +547,12 @@ Result<StatementResult> Warehouse::ExecuteAs(const std::string& sql,
       // Pin the data plane with a short shared hold, then execute off
       // the lock — every source is internally synchronized.
       std::shared_ptr<cluster::Cluster> pinned_cluster;
+      SystemTableSources sources;
       {
         common::ReaderMutexLock data_lock(data_mu_);
         pinned_cluster = cluster_;
+        sources.generation = generation_;
       }
-      SystemTableSources sources;
       sources.query_log = &query_log_;
       sources.event_log = &event_log_;
       sources.cluster = pinned_cluster.get();
@@ -588,10 +563,6 @@ Result<StatementResult> Warehouse::ExecuteAs(const std::string& sql,
       sources.inflight = &inflight_;
       sources.gauges = &gauges_;
       sources.alerts = &alerts_;
-      {
-        common::MutexLock versions_lock(cache_mu_);
-        sources.table_versions = table_versions_;
-      }
       SDW_ASSIGN_OR_RETURN(SystemQueryResult sys,
                            ExecuteSystemQuery(select->query, sources));
       StatementResult result;
@@ -658,15 +629,18 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
 
   // Result-cache fast path: a repeat query over unchanged tables is
   // answered from memory without occupying a WLM slot. The short
-  // shared hold pins the version snapshot for the lookup — a writer
-  // bumps versions and installs under the exclusive mode, so a hit
-  // here can never reflect pre-write data after the write.
+  // shared hold reads the key off the live head stamps — a writer
+  // installs under the exclusive mode, so a hit here can never reflect
+  // pre-write data after the write. An entry this lookup finds stale
+  // was invalidated by a write: that is the result-cache-repeat-miss
+  // alert's trigger.
+  bool repeat_cache_miss = false;
   if (options_.cache.enable_result_cache && !explain_analyze) {
     std::shared_ptr<const CachedResult> hit;
     {
       common::ReaderMutexLock data_lock(data_mu_);
-      const TableVersions versions = SnapshotVersions(tables);
-      hit = result_cache_.Lookup(fingerprint, canonical, versions);
+      hit = result_cache_.Lookup(fingerprint, canonical, LiveKey(tables),
+                                 &repeat_cache_miss);
     }
     if (hit != nullptr) {
       obs::QueryLog::Started started = query_log_.StartQuery();
@@ -692,16 +666,6 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
     }
   }
 
-  // A miss on a fingerprint this warehouse has executed before is the
-  // result-cache-repeat-miss alert's trigger (the hit path returned
-  // above). First sight of a statement just records it.
-  bool repeat_cache_miss = false;
-  if (options_.workload_intelligence && options_.cache.enable_result_cache &&
-      !explain_analyze) {
-    common::MutexLock cache_lock(cache_mu_);
-    repeat_cache_miss = !seen_fingerprints_.insert(fingerprint).second;
-  }
-
   // Register with stv_inflight before joining the admission queue so a
   // queued statement is visible (phase "queued") while it waits.
   obs::InflightRegistry::Ticket ticket;
@@ -725,8 +689,8 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   sim::Stopwatch exec_timer;
   // Pin the MVCC snapshot AFTER admission: a write may have committed
   // while this statement sat in the WLM queue, and the cache entries
-  // inserted below must be keyed by the versions the scans actually
-  // read — versions and chains are captured as one coherent triple.
+  // inserted below must be keyed by the stamps the scans actually
+  // read — key and chains are captured as one coherent triple.
   // Execution itself holds no warehouse lock at all; concurrent
   // COPY/VACUUM install new chains alongside the pinned ones.
   SDW_ASSIGN_OR_RETURN(PinnedSnapshot pin, PinSnapshot(tables));
@@ -734,7 +698,7 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   std::shared_ptr<const plan::PhysicalQuery> physical;
   bool segment_hit = false;
   if (options_.cache.enable_segment_cache) {
-    physical = segment_cache_.Lookup(fingerprint, canonical, pin.versions);
+    physical = segment_cache_.Lookup(fingerprint, canonical, pin.key);
     segment_hit = physical != nullptr;
   }
   if (physical == nullptr) {
@@ -743,7 +707,7 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
     auto owned =
         std::make_shared<const plan::PhysicalQuery>(std::move(planned));
     if (options_.cache.enable_segment_cache) {
-      segment_cache_.Insert(fingerprint, canonical, pin.versions, owned);
+      segment_cache_.Insert(fingerprint, canonical, pin.key, owned);
     }
     physical = std::move(owned);
   }
@@ -753,7 +717,7 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   record.query_id = started.query_id;
   record.sql_text = sql_text;
   record.start_tick = started.start_tick;
-  record.snapshot = FormatVersions(pin.versions);
+  record.snapshot = FormatStamps(pin.key);
   record.queue_seconds = slot.queued_seconds();
   cluster::ExecOptions exec_options = options_.exec;
   exec_options.segment_cache_hit = segment_hit;
@@ -838,7 +802,7 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
     auto cached = std::make_shared<CachedResult>();
     cached->rows = CloneBatch(query_result.rows);
     cached->column_names = query_result.column_names;
-    result_cache_.Insert(fingerprint, canonical, pin.versions,
+    result_cache_.Insert(fingerprint, canonical, std::move(pin.key),
                          std::move(cached));
   }
   result.rows = std::move(query_result.rows);
@@ -882,11 +846,10 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   // on writer_mu_ for the whole statement. The heavy work (fetch,
   // parse, distribute, sort, encode) runs on staged chains with no
   // data lock held — concurrent SELECTs read their pinned snapshots
-  // undisturbed. Only the final bump + install takes data_mu_
-  // exclusively, and versions bump BEFORE the install inside that same
-  // hold: a statement that fails halfway has still invalidated
-  // everything it might have touched, and a reader pinning between
-  // statements always sees versions and chains move together.
+  // undisturbed. Only the final install takes data_mu_ exclusively;
+  // each head it swings draws a fresh commit stamp, which is what
+  // moves the cache keys. A statement that fails before installing
+  // changed nothing a reader can see, so every cache entry stays valid.
   // Writes are visible in stv_inflight too — a long COPY is exactly
   // what an operator polls for from another session.
   obs::InflightRegistry::Ticket ticket;
@@ -925,7 +888,6 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
     {
       common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({create->schema.name()});
       SDW_RETURN_IF_ERROR(cluster_->CreateTable(create->schema));
     }
     SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
@@ -939,7 +901,6 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
     {
       common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({drop->table});
       // Unlinks the table; its shards park on the dropped list until
       // every pinned snapshot drains (mid-scan readers finish cleanly).
       SDW_RETURN_IF_ERROR(cluster_->DropTable(drop->table));
@@ -950,14 +911,6 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     return result;
   }
   if (auto* copy = std::get_if<sql::CopyStmt>(&stmt)) {
-    // Conservative invalidation up front: a COPY that aborts mid-load
-    // (S3 outage) must still have invalidated everything it might have
-    // touched. The commit below bumps again so entries cached against
-    // mid-load pins can never serve post-commit.
-    {
-      common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({copy->table});
-    }
     cluster::StagedWrite staged(cluster_.get());
     load::CopyExecutor executor(cluster_.get(), s3_, options_.region);
     load::CopyOptions copy_options;
@@ -978,15 +931,12 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
     {
       common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({copy->table});
-      // The multi-block, multi-file load becomes visible as ONE version
-      // bump per shard: a snapshot sees the whole COPY or none of it.
+      // The multi-block, multi-file load becomes visible as ONE install
+      // per shard: a snapshot sees the whole COPY or none of it.
       SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
     }
     if (result.copy_stats.rows_loaded > 0) {
       SDW_RETURN_IF_ERROR(cluster_->Analyze(copy->table));
-      // Fresh stats change plans; cached segments must re-lower.
-      BumpVersions({copy->table});
     }
     SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
     result.message = "COPY " + std::to_string(result.copy_stats.rows_loaded) +
@@ -1009,18 +959,12 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
         SDW_RETURN_IF_ERROR(columns[c].AppendDatum(row[c]));
       }
     }
-    {
-      // Conservative up-front invalidation, same contract as COPY.
-      common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({insert->table});
-    }
     cluster::StagedWrite staged(cluster_.get());
     SDW_RETURN_IF_ERROR(
         cluster_->InsertRows(insert->table, columns, &staged));
     SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
     {
       common::WriterMutexLock data_lock(data_mu_);
-      BumpVersions({insert->table});
       SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
     }
     SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
@@ -1033,10 +977,10 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     SDW_RETURN_IF_ERROR(
         cluster_->catalog()->GetTable(analyze->table).status());
     SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-    // Fresh stats change plans, so cached segments must re-lower.
     // Stats live in the internally locked catalog and never change
-    // results, so no data_mu_ hold is needed around the scan.
-    BumpVersions({analyze->table});
+    // results, and Analyze's re-install of the heads moves no data, so
+    // no data_mu_ hold is needed: a reader pinning mid-way gets the
+    // same rows under either stamp, and plans against the fresh stats.
     SDW_RETURN_IF_ERROR(cluster_->Analyze(analyze->table));
     SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
     result.message = "ANALYZE " + analyze->table;
@@ -1047,20 +991,14 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   // Each COPY sorts its own run; VACUUM merges the accumulated runs
   // back into one fully-sorted region per slice. The merge-sort and
   // re-encode happen on staged chains — readers scan the old ones —
-  // and the swap is one version bump. Old chains retire and are
+  // and the swap is one install per shard. Old chains retire and are
   // reclaimed once no snapshot pins them.
-  {
-    // Conservative up-front invalidation, same contract as COPY.
-    common::WriterMutexLock data_lock(data_mu_);
-    BumpVersions({vacuum.table});
-  }
   cluster::StagedWrite staged(cluster_.get());
   SDW_ASSIGN_OR_RETURN(uint64_t blocks,
                        cluster_->Vacuum(vacuum.table, &staged));
   SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
   {
     common::WriterMutexLock data_lock(data_mu_);
-    BumpVersions({vacuum.table});
     SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
   }
   cluster_->CollectGarbage();
@@ -1130,13 +1068,10 @@ Status Warehouse::RestoreInPlace(uint64_t snapshot_id,
   WireEncryptionOn(restored.get());
   {
     common::WriterMutexLock data_lock(data_mu_);
-    // The whole data plane swaps: nothing cached may survive. Bump on
-    // both sides of the swap so tables that exist only in the old
-    // plane AND tables that arrive with the snapshot are invalidated
-    // (BumpAllVersions folds in the current catalog's names).
-    BumpAllVersions();
+    // The whole data plane swaps and its stamps start over: the new
+    // generation keeps every cached entry from matching again.
     cluster_ = std::move(restored);
-    BumpAllVersions();
+    ++generation_;
   }
   // In-flight SELECTs pinned the old cluster's shared_ptr and finish
   // on it; it is freed when the last of them drains.
@@ -1178,10 +1113,9 @@ Result<cluster::Cluster::ResizeStats> Warehouse::Resize(int new_num_nodes) {
     common::WriterMutexLock data_lock(data_mu_);
     // Same rows on a different topology: results survive semantically
     // but cached plans are topology-bound, so everything re-derives.
-    BumpAllVersions();
     // Move the SQL endpoint and decommission the source (§3.1).
     cluster_ = std::move(target);
-    BumpAllVersions();
+    ++generation_;
   }
   SyncHostManagers();
   SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
@@ -1237,11 +1171,10 @@ Status Warehouse::RecoverInternal(RecoverStats* stats) {
     WireEncryptionOn(restored.get());
     {
       common::WriterMutexLock data_lock(data_mu_);
-      // Both sides of the swap invalidate: no cache entry computed
-      // from pre-crash state may ever serve against recovered data.
-      BumpAllVersions();
+      // No cache entry computed from pre-crash state may ever serve
+      // against recovered data.
       cluster_ = std::move(restored);
-      BumpAllVersions();
+      ++generation_;
     }
     SyncHostManagers();
     applied_lsn_.store(after, std::memory_order_relaxed);

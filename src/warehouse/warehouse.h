@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -126,15 +124,16 @@ struct HealthStats {
 /// The front door is thread-safe: concurrent Execute() calls are
 /// admitted into WlmConfig::concurrency_slots live slots (FIFO queue
 /// beyond that, per-statement queue timeout). SELECTs run under MVCC:
-/// admission pins a (cluster, table versions, shard snapshot) triple
-/// under a short shared hold of the snapshot-coherence lock and scans
-/// immutable block chains as of that snapshot — never blocking on, or
-/// blocked by, a running COPY/VACUUM. Writers are serialized on
-/// writer_mu_, build their new chains off to the side, and install
-/// them with a version bump under a short exclusive hold of the same
-/// coherence lock, so a snapshot is always all-before or all-after a
-/// statement and no cache entry computed from pre-write data can ever
-/// be served after the write.
+/// admission pins a (cluster, cache key, shard snapshot) triple under a
+/// short shared hold of the snapshot-coherence lock and scans immutable
+/// block chains as of that snapshot — never blocking on, or blocked by,
+/// a running COPY/VACUUM. Writers are serialized on writer_mu_, build
+/// their new chains off to the side, and install them under a short
+/// exclusive hold of the same coherence lock, so a snapshot is always
+/// all-before or all-after a statement. Each install draws a fresh
+/// commit stamp and the cache key is built from those stamps, so no
+/// cache entry computed from pre-write data can ever be served after
+/// the write.
 class Warehouse {
  public:
   explicit Warehouse(WarehouseOptions options = {});
@@ -286,17 +285,22 @@ class Warehouse {
   /// Everything one SELECT needs pinned at admission: the data plane it
   /// runs on (restore/resize swap the pointer; pinned readers keep the
   /// old one alive), the cache key, and the shard snapshot the scans
-  /// read. All three are captured under one shared hold of data_mu_, so
-  /// the triple is coherent: the versions describe exactly the chains
-  /// the snapshot pinned.
+  /// read. All three are captured under one shared hold of data_mu_,
+  /// and the key's stamps are read off the pinned versions, so it
+  /// describes exactly the chains the snapshot pinned.
   struct PinnedSnapshot {
     std::shared_ptr<cluster::Cluster> cluster;
-    TableVersions versions;
+    CacheKey key;
     std::shared_ptr<const cluster::ReadSnapshot> snapshot;
   };
   [[nodiscard]] Result<PinnedSnapshot> PinSnapshot(
-      const std::vector<std::string>& tables)
-      SDW_EXCLUDES(data_mu_, cache_mu_);
+      const std::vector<std::string>& tables) SDW_EXCLUDES(data_mu_);
+
+  /// The cache key of `tables` as of the live heads: what a pin taken
+  /// now would report, read without taking one (the result cache's hit
+  /// path).
+  CacheKey LiveKey(const std::vector<std::string>& tables) const
+      SDW_REQUIRES_SHARED(data_mu_);
 
   /// Installs the encrypt/decrypt transforms on every node store of the
   /// current cluster (called at creation, after resize and restore).
@@ -322,8 +326,8 @@ class Warehouse {
 
   /// Every non-SELECT statement: admission, then writer_mu_ for the
   /// whole statement; heavy work (parse, sort, encode) runs off
-  /// data_mu_ on staged chains, and only the version-bump + install
-  /// takes data_mu_ exclusively.
+  /// data_mu_ on staged chains, and only the install takes data_mu_
+  /// exclusively.
   Result<StatementResult> RunStatement(sql::Statement stmt,
                                        const std::string& sql,
                                        int session_id,
@@ -350,21 +354,6 @@ class Warehouse {
   Status ApplyLogRecord(const durability::LogRecord& record,
                         RecoverStats* stats);
   Status RecoverInternal(RecoverStats* stats);
-
-  /// Current version counters of `tables` (unseen tables read as 0).
-  TableVersions SnapshotVersions(const std::vector<std::string>& tables)
-      SDW_EXCLUDES(cache_mu_);
-  /// Bumps the counters of `tables` — called BEFORE the write mutates
-  /// anything, so even a write that fails halfway leaves no cache entry
-  /// servable against the possibly-changed data.
-  void BumpVersions(const std::vector<std::string>& tables)
-      SDW_EXCLUDES(cache_mu_);
-  /// Bumps every counter the warehouse has ever seen PLUS every table
-  /// currently in the catalog (restore/resize/rollback swap the whole
-  /// data plane, and a restored snapshot may contain tables this
-  /// warehouse never read — those must enter the map too, or their
-  /// first post-restore cache entries would be keyed version 0 forever).
-  void BumpAllVersions() SDW_EXCLUDES(cache_mu_);
 
   WarehouseOptions options_;
   std::unique_ptr<security::ServiceKeyProvider> master_provider_;
@@ -403,8 +392,8 @@ class Warehouse {
   obs::GaugeHistory gauges_{options_.gauge_history_capacity};
   obs::AlertLog alerts_;
 
-  /// Lock order: admission slot -> writer_mu_ -> data_mu_ -> cache_mu_
-  /// (then the caches' and data plane's internal locks, leaf-level).
+  /// Lock order: admission slot -> writer_mu_ -> data_mu_ (then the
+  /// caches' and data plane's internal locks, leaf-level).
   ///
   /// writer_mu_ serializes whole mutating statements (DDL/DML/COPY/
   /// VACUUM), transactions, backups, cluster swaps and health sweeps —
@@ -412,24 +401,20 @@ class Warehouse {
   /// without blocking readers.
   ///
   /// data_mu_ is the snapshot-coherence lock, held only for moments:
-  /// readers take it shared to pin {cluster_, versions, shard
-  /// snapshot} as one coherent triple; writers take it exclusive just
-  /// to bump versions and install already-prepared chains (or swap
-  /// cluster_). No I/O, parsing, sorting or encoding ever happens
-  /// under it. txn_manifest_ / host_managers_ are guarded by
-  /// writer_mu_ in spirit but deliberately not annotated —
-  /// single-threaded tooling (data_plane(), benches) reads them
-  /// lock-free by design.
+  /// readers take it shared to pin {cluster_, cache key, shard
+  /// snapshot} as one coherent triple (or, on a result-cache hit, just
+  /// to read the key); writers take it exclusive just to install
+  /// already-prepared chains (or swap cluster_ and bump generation_).
+  /// No I/O, parsing, sorting or encoding ever happens under it.
+  /// txn_manifest_ / host_managers_ are guarded by writer_mu_ in spirit
+  /// but deliberately not annotated — single-threaded tooling
+  /// (data_plane(), benches) reads them lock-free by design.
   mutable common::Mutex writer_mu_ SDW_ACQUIRED_BEFORE(data_mu_){
       common::LockRank::kWarehouseWriter};
-  mutable common::SharedMutex data_mu_ SDW_ACQUIRED_BEFORE(cache_mu_){
-      common::LockRank::kWarehouseData};
-  mutable common::Mutex cache_mu_ SDW_ACQUIRED_AFTER(data_mu_){
-      common::LockRank::kWarehouseVersions};
-  std::map<std::string, uint64_t> table_versions_ SDW_GUARDED_BY(cache_mu_);
-  /// Statement fingerprints already seen by the result cache's miss
-  /// path — the result-cache-repeat-miss alert's memory.
-  std::set<uint64_t> seen_fingerprints_ SDW_GUARDED_BY(cache_mu_);
+  mutable common::SharedMutex data_mu_{common::LockRank::kWarehouseData};
+  /// Counts cluster_ swaps. A swapped-in cluster draws its commit
+  /// stamps afresh, so the cache key carries the generation too.
+  uint64_t generation_ SDW_GUARDED_BY(data_mu_) = 0;
 
   cluster::AdmissionController admission_;
   SegmentCache segment_cache_;

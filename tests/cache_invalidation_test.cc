@@ -1,12 +1,14 @@
 // Read-your-writes regression suite for the result cache: every write
-// path (INSERT, COPY, VACUUM, DROP, transactions, streaming restore)
-// must bump the touched tables' version counters so a repeated SELECT
-// can never be served stale rows — including when a chaos-layer fault
-// aborts the write halfway through the invalidation window.
+// path (INSERT, COPY, VACUUM, DROP, ANALYZE, transactions, streaming
+// restore, direct data-plane writes) installs under a fresh MVCC commit
+// stamp, and the cache key is built from those stamps, so a repeated
+// SELECT can never be served stale rows — including when a chaos-layer
+// fault aborts the write before it installs.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/fault_injector.h"
 #include "warehouse/warehouse.h"
@@ -103,6 +105,20 @@ TEST_F(CacheInvalidationTest, DropAndRecreateNeverServesTheOldTable) {
   MustRun(&wh, "INSERT INTO t VALUES (9, 90)");
   EXPECT_EQ(Count(&wh, &cached), 1) << "the new t, not the cached old t";
   EXPECT_FALSE(cached);
+
+  // Empty heads are stamped too: a cached SELECT * over an empty t
+  // must not answer for a re-created, still empty t with other columns.
+  MustRun(&wh, "DROP TABLE t");
+  MustRun(&wh, "CREATE TABLE t (k BIGINT, v BIGINT)");
+  StatementResult empty = MustRun(&wh, "SELECT * FROM t");
+  EXPECT_EQ(empty.rows.num_rows(), 0u);
+  EXPECT_EQ(empty.column_names, (std::vector<std::string>{"k", "v"}));
+  MustRun(&wh, "DROP TABLE t");
+  MustRun(&wh, "CREATE TABLE t (a BIGINT, b BIGINT, c BIGINT)");
+  StatementResult recreated = MustRun(&wh, "SELECT * FROM t");
+  EXPECT_FALSE(recreated.from_result_cache);
+  EXPECT_EQ(recreated.column_names,
+            (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST_F(CacheInvalidationTest, RollbackInvalidatesInTransactionReads) {
@@ -142,10 +158,10 @@ TEST_F(CacheInvalidationTest, StreamingRestoreInvalidatesEverything) {
   EXPECT_FALSE(cached);
 }
 
-// Chaos arm: the COPY aborts mid-load on an S3 outage, *after* the
-// version bump but before any rows landed. The bump must stick — a
-// failed write conservatively invalidates, it never un-invalidates.
-TEST_F(CacheInvalidationTest, FailedCopyStillInvalidates) {
+// Chaos arm: the COPY aborts mid-load on an S3 outage, before any rows
+// landed. It installed nothing, so the cached count is still the truth
+// and stays servable; the retried COPY installs and invalidates it.
+TEST_F(CacheInvalidationTest, FailedCopyLeavesCacheValid) {
   Warehouse wh(CachedOptions());
   MustRun(&wh, "CREATE TABLE t (k BIGINT, v BIGINT)");
   MustRun(&wh, "INSERT INTO t VALUES (1, 10)");
@@ -164,7 +180,11 @@ TEST_F(CacheInvalidationTest, FailedCopyStillInvalidates) {
   region->fault_point()->Reset();
 
   EXPECT_EQ(Count(&wh, &cached), 1) << "no rows landed";
-  EXPECT_FALSE(cached) << "the aborted COPY still invalidated the entry";
+  EXPECT_TRUE(cached) << "the aborted COPY installed nothing";
+
+  MustRun(&wh, "COPY t FROM 's3://bkt/t/'");
+  EXPECT_EQ(Count(&wh, &cached), 3) << "the retried COPY landed";
+  EXPECT_FALSE(cached) << "and its install invalidated the entry";
 }
 
 // Chaos arm: a node dies mid-SELECT right after an INSERT invalidated
@@ -199,8 +219,8 @@ TEST_F(CacheInvalidationTest, NodeFailureDuringReexecutionStaysFresh) {
   EXPECT_GT(masked.exec_stats.masked_reads, 0u);
 }
 
-// stv_cache exposes entry liveness: a bumped version flips the entry to
-// live=0 until the next execution replaces it.
+// stv_cache exposes entry liveness: a write moves the key and flips the
+// entry to live=0 until the next execution replaces it.
 TEST_F(CacheInvalidationTest, StvCacheShowsStaleEntries) {
   Warehouse wh(CachedOptions());
   MustRun(&wh, "CREATE TABLE t (k BIGINT, v BIGINT)");
@@ -217,6 +237,89 @@ TEST_F(CacheInvalidationTest, StvCacheShowsStaleEntries) {
   ASSERT_EQ(stale.rows.num_rows(), 2u);
   EXPECT_EQ(stale.rows.columns[1].IntAt(0), 0) << "segment entry now stale";
   EXPECT_EQ(stale.rows.columns[1].IntAt(1), 0) << "result entry now stale";
+}
+
+// A write through the direct data-plane API bypasses the front door
+// entirely; its installs still draw fresh stamps, so the cached count
+// cannot outlive it.
+TEST_F(CacheInvalidationTest, DataPlaneInsertInvalidates) {
+  Warehouse wh(CachedOptions());
+  MustRun(&wh, "CREATE TABLE t (k BIGINT, v BIGINT)");
+  MustRun(&wh, "INSERT INTO t VALUES (1, 10), (2, 20)");
+  bool cached = false;
+  EXPECT_EQ(Count(&wh, &cached), 2);
+  EXPECT_EQ(Count(&wh, &cached), 2);
+  ASSERT_TRUE(cached);
+
+  std::vector<ColumnVector> row;
+  row.emplace_back(TypeId::kInt64);
+  row.emplace_back(TypeId::kInt64);
+  row[0].AppendInt(3);
+  row[1].AppendInt(30);
+  ASSERT_TRUE(wh.data_plane()->InsertRows("t", row).ok());
+  EXPECT_EQ(Count(&wh, &cached), 3) << "read-your-writes";
+  EXPECT_FALSE(cached) << "the direct insert invalidated the entry";
+}
+
+// ANALYZE changes no rows, but fresh stats change plans: with no stats
+// the 50-row build side is broadcast, and after ANALYZE it is too big
+// to broadcast. The cached segment must not outlive the stats.
+TEST_F(CacheInvalidationTest, AnalyzeInvalidatesCachedPlans) {
+  WarehouseOptions options = CachedOptions();
+  options.planner.broadcast_row_threshold = 10;
+  Warehouse wh(options);
+  MustRun(&wh, "CREATE TABLE f (k BIGINT, v BIGINT)");
+  MustRun(&wh, "CREATE TABLE d (id BIGINT, name VARCHAR)");
+  MustRun(&wh, "INSERT INTO f VALUES (1, 10), (2, 20), (3, 30)");
+  std::string insert = "INSERT INTO d VALUES ";
+  for (int i = 0; i < 50; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", 'n" + std::to_string(i) + "')";
+  }
+  MustRun(&wh, insert);  // INSERT leaves d without stats
+
+  const std::string kJoin =
+      "EXPLAIN ANALYZE SELECT name, COUNT(*) AS n FROM f JOIN d "
+      "ON f.k = d.id GROUP BY name ORDER BY name";
+  const CacheMetrics& segment = wh.segment_cache()->metrics();
+  EXPECT_NE(MustRun(&wh, kJoin).message.find("BROADCAST Hash Join"),
+            std::string::npos);
+  const uint64_t hits = segment.hits->value();
+  EXPECT_NE(MustRun(&wh, kJoin).message.find("BROADCAST Hash Join"),
+            std::string::npos);
+  EXPECT_EQ(segment.hits->value(), hits + 1) << "served from the cache";
+
+  MustRun(&wh, "ANALYZE d");
+  const std::string analyzed = MustRun(&wh, kJoin).message;
+  EXPECT_NE(analyzed.find("SHUFFLE Hash Join"), std::string::npos)
+      << analyzed;
+}
+
+// The result-cache-repeat-miss alert fires when a repeated statement
+// finds its entry invalidated by a write — not on a first run, not on
+// a hit.
+TEST_F(CacheInvalidationTest, RepeatMissAlertFiresOnWriteInvalidation) {
+  Warehouse wh(CachedOptions());
+  MustRun(&wh, "CREATE TABLE t (k BIGINT, v BIGINT)");
+  MustRun(&wh, "INSERT INTO t VALUES (1, 10)");
+  auto repeat_misses = [&wh] {
+    size_t n = 0;
+    for (const obs::AlertEvent& e : wh.alerts()->Snapshot()) {
+      if (e.rule == "result-cache-repeat-miss") ++n;
+    }
+    return n;
+  };
+  bool cached = false;
+  Count(&wh, &cached);
+  EXPECT_EQ(repeat_misses(), 0u) << "a first run is not a repeat";
+  Count(&wh, &cached);
+  ASSERT_TRUE(cached);
+  EXPECT_EQ(repeat_misses(), 0u) << "a hit is not a miss";
+
+  MustRun(&wh, "INSERT INTO t VALUES (2, 20)");
+  EXPECT_EQ(Count(&wh, &cached), 2);
+  EXPECT_FALSE(cached);
+  EXPECT_EQ(repeat_misses(), 1u) << "the INSERT invalidated a repeat";
 }
 
 }  // namespace

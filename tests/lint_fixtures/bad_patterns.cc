@@ -85,16 +85,4 @@ class RogueS3Writer {
   }
 };
 
-class SnapshotBypass {
- public:
-  // Reading the version map directly skips the snapshot-coherence
-  // protocol: only warehouse.{h,cc} may touch it.
-  uint64_t PeekVersion(const std::string& table) {
-    return table_versions_[table];  // lint:expect(mvcc-versions)
-  }
-
- private:
-  std::map<std::string, uint64_t> table_versions_;  // lint:expect(mvcc-versions)
-};
-
 }  // namespace sdw::fixtures

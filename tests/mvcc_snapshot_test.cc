@@ -4,9 +4,9 @@
 // version machinery (prepare/install/retire/GC), the cluster-level
 // pin + deferred-DROP paths, and the warehouse-level races the MVCC
 // promotion fixed: stale result-cache entries keyed by pre-admission
-// versions, BumpAllVersions missing restored tables, and readers
-// pinned across DROP / VACUUM / ROLLBACK. Runs under the TSan/ASan CI
-// legs.
+// versions, restores missing tables the front door never saw, and
+// readers pinned across DROP / VACUUM / ROLLBACK. Runs under the
+// TSan/ASan CI legs.
 
 #include <gtest/gtest.h>
 
@@ -253,17 +253,15 @@ TEST(MvccWarehouseTest, RollbackKeepsPinnedMidTransactionReaders) {
   EXPECT_EQ(Count(&wh, "t"), 2);
 }
 
-// The BumpAllVersions regression (satellite fix): a restore swaps in a
-// catalog whose tables may have never been queried or written through
-// this endpoint, so they are absent from the version map. The bump
-// must fold in the catalog's table list — otherwise the first SELECT
-// after the restore caches at version 0 and the entry survives the
-// NEXT whole-plane swap.
-TEST(MvccWarehouseTest, BumpAllVersionsCoversRestoredTables) {
+// A restore swaps in a catalog whose tables may have never been
+// queried or written through this endpoint. An entry cached after one
+// restore must still be invalidated by the NEXT whole-plane swap, even
+// for such a table.
+TEST(MvccWarehouseTest, RestoreInvalidatesTablesTheFrontDoorNeverSaw) {
   Warehouse wh(MvccOptions());
   // Build the table through the direct data-plane API: the catalog
-  // knows it, the front door's version map has never seen it (exactly
-  // a restored table's situation).
+  // knows it, the front door has never seen it (exactly a restored
+  // table's situation).
   TableSchema schema("t", {{"k", TypeId::kInt64}, {"v", TypeId::kInt64}});
   ASSERT_TRUE(wh.data_plane()->CreateTable(schema).ok());
   {
@@ -281,13 +279,14 @@ TEST(MvccWarehouseTest, BumpAllVersionsCoversRestoredTables) {
 
   ASSERT_TRUE(wh.RestoreInPlace(s2->snapshot_id).ok());
   EXPECT_EQ(Count(&wh, "t"), 2);
-  // The regression bite: the entry just cached must NOT be keyed
-  // version 0 — the restore's bump has to cover catalog-only tables.
-  for (const auto& entry : wh.result_cache()->Entries()) {
-    for (const auto& [table, version] : entry.versions) {
-      EXPECT_GE(version, 1u)
-          << "restored table '" << table << "' cached at version 0";
-    }
+  // The entry just cached carries the post-restore generation (the
+  // first swap moves a fresh warehouse from 0 to 1), so the next swap
+  // moves its key whichever tables it read.
+  const auto entries = wh.result_cache()->Entries();
+  ASSERT_FALSE(entries.empty());
+  for (const auto& entry : entries) {
+    EXPECT_EQ(entry.key.generation, 1u)
+        << "entry cached under the pre-restore generation";
   }
   ASSERT_TRUE(wh.RestoreInPlace(s1->snapshot_id).ok());
   EXPECT_EQ(Count(&wh, "t"), 1) << "second swap must invalidate the entry";

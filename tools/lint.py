@@ -25,12 +25,6 @@ see (DESIGN.md section 4f):
                  rule covers MakeCacheMetrics("...") prefixes — they
                  expand to <prefix>_hits / _misses / ... counters, so a
                  bad prefix pollutes the namespace four times over.
-  mvcc-versions  References to the warehouse's table_versions_ map
-                 outside src/warehouse/warehouse.{h,cc}. The map is the
-                 MVCC snapshot bookkeeping behind PinSnapshot /
-                 BumpVersions; touching it anywhere else bypasses the
-                 data_mu_ coherence protocol (readers must capture
-                 cluster + versions + chain pins as one triple).
   s3-writes      Direct S3 object mutation (PutObject / DeleteObject)
                  outside src/backup/ and src/durability/. Those two
                  modules own the durability contract — blocks +
@@ -100,12 +94,6 @@ METRIC_NAME_RE = re.compile(r"^sdw_[a-z0-9]+(?:_[a-z0-9]+)+$")
 CACHE_METRICS_CALL_RE = re.compile(
     r"MakeCacheMetrics\s*\(\s*\"([^\"]*)\"", re.DOTALL
 )
-
-MVCC_VERSIONS_RE = re.compile(r"\btable_versions_\b")
-MVCC_VERSIONS_OWNERS = {
-    "src/warehouse/warehouse.h",
-    "src/warehouse/warehouse.cc",
-}
 
 S3_WRITE_RE = re.compile(r"(?:->|\.)\s*(?:PutObject|DeleteObject)\s*\(")
 S3_WRITE_OWNER_PREFIXES = ("src/backup/", "src/durability/")
@@ -270,27 +258,6 @@ def check_metric_names(path, text, lines, scoped):
     return out
 
 
-def check_mvcc_versions(path, lines, scoped):
-    """mvcc-versions: only warehouse.{h,cc} may touch table_versions_."""
-    p = rel(path)
-    if scoped and (not p.startswith("src/") or p in MVCC_VERSIONS_OWNERS):
-        return []
-    out = []
-    for i, line in enumerate(lines, 1):
-        code = strip_comment(line)
-        m = MVCC_VERSIONS_RE.search(code)
-        if m and not line_allows(lines, i, "mvcc-versions"):
-            out.append(
-                Violation(
-                    p, i, "mvcc-versions",
-                    "table_versions_ outside src/warehouse/warehouse.{h,cc} "
-                    "— go through PinSnapshot / BumpVersions so the "
-                    "snapshot-coherence lock stays honest",
-                )
-            )
-    return out
-
-
 def check_s3_writes(path, lines, scoped):
     """s3-writes: only backup/ and durability/ may mutate S3 objects."""
     p = rel(path)
@@ -427,7 +394,6 @@ def check_file(path, scoped=True):
     violations += check_naked_thread(path, lines, scoped)
     violations += check_log_under_lock(path, lines, scoped)
     violations += check_metric_names(path, text, lines, scoped)
-    violations += check_mvcc_versions(path, lines, scoped)
     violations += check_s3_writes(path, lines, scoped)
     violations += check_system_table_doc(path, lines, scoped)
     violations += check_bare_no_tsa(path, lines, scoped)
