@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -134,7 +136,37 @@ void BM_CompareKernelRowAtATime(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareKernelRowAtATime);
 
-void BM_HashAggregateFastPath(benchmark::State& state) {
+/// Times `make_op` over fresh copies of `source` (the copy is untimed),
+/// cut into the 4096-row batches a slice's scan yields, counting the
+/// source's rows as items.
+template <typename MakeOp>
+void RunOverCopies(benchmark::State& state, const sdw::exec::Batch& source,
+                   MakeOp make_op) {
+  const auto types = source.Types();
+  const size_t n = source.num_rows();
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<sdw::exec::Batch> batches;
+    for (size_t begin = 0; begin < n; begin += 4096) {
+      sdw::exec::Batch copy = sdw::exec::MakeBatch(types);
+      for (size_t c = 0; c < types.size(); ++c) {
+        SDW_CHECK_OK(copy.columns[c].AppendRange(
+            source.columns[c], begin, std::min<size_t>(n, begin + 4096)));
+      }
+      batches.push_back(std::move(copy));
+    }
+    state.ResumeTiming();
+    auto op = make_op(sdw::exec::MemoryScan(types, std::move(batches)));
+    auto out = sdw::exec::Collect(op.get());
+    SDW_CHECK(out.ok());
+    benchmark::DoNotOptimize(*out);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+
+// GROUP BY an integer key with COUNT(*) and SUM through the typed key
+// table and aggregate states.
+void BM_HashAggregateIntKey(benchmark::State& state) {
   Rng rng(5);
   sdw::exec::Batch source;
   ColumnVector key(TypeId::kInt64), val(TypeId::kInt64);
@@ -144,26 +176,65 @@ void BM_HashAggregateFastPath(benchmark::State& state) {
   }
   source.columns.push_back(std::move(key));
   source.columns.push_back(std::move(val));
-  auto types = source.Types();
-  for (auto _ : state) {
-    state.PauseTiming();
-    sdw::exec::Batch copy = sdw::exec::MakeBatch(types);
-    for (size_t c = 0; c < 2; ++c) {
-      SDW_CHECK_OK(copy.columns[c].AppendRange(source.columns[c], 0, 65536));
-    }
-    std::vector<sdw::exec::Batch> batches;
-    batches.push_back(std::move(copy));
-    state.ResumeTiming();
-    auto agg = sdw::exec::HashAggregate(
-        sdw::exec::MemoryScan(types, std::move(batches)), {0},
+  RunOverCopies(state, source, [](sdw::exec::OperatorPtr scan) {
+    return sdw::exec::HashAggregate(
+        std::move(scan), {0},
         {{sdw::exec::AggFn::kCount, -1}, {sdw::exec::AggFn::kSum, 1}});
-    auto out = sdw::exec::Collect(agg.get());
-    SDW_CHECK(out.ok());
-    benchmark::DoNotOptimize(*out);
-  }
-  state.SetItemsProcessed(state.iterations() * 65536);
+  });
 }
-BENCHMARK(BM_HashAggregateFastPath);
+BENCHMARK(BM_HashAggregateIntKey);
+
+// The same aggregate grouped by a VARCHAR key (keys live in the table's
+// string arena).
+void BM_HashAggregateStringKey(benchmark::State& state) {
+  Rng rng(5);
+  sdw::exec::Batch source;
+  ColumnVector val(TypeId::kInt64);
+  for (int i = 0; i < 65536; ++i) val.AppendInt(rng.UniformRange(0, 100));
+  source.columns.push_back(LowCardStrings(65536));
+  source.columns.push_back(std::move(val));
+  RunOverCopies(state, source, [](sdw::exec::OperatorPtr scan) {
+    return sdw::exec::HashAggregate(
+        std::move(scan), {0},
+        {{sdw::exec::AggFn::kCount, -1}, {sdw::exec::AggFn::kSum, 1}});
+  });
+}
+BENCHMARK(BM_HashAggregateStringKey);
+
+// Probes a 1K-row build side (one match per probe row) and gathers the
+// joined columns: the broadcast-join kernel.
+void BM_HashJoinProbe(benchmark::State& state) {
+  Rng rng(6);
+  sdw::exec::Batch dim;
+  ColumnVector id(TypeId::kInt64), name(TypeId::kString);
+  for (int i = 0; i < 1024; ++i) {
+    id.AppendInt(i);
+    name.AppendString("region-" + std::to_string(i % 16));
+  }
+  dim.columns.push_back(std::move(id));
+  dim.columns.push_back(std::move(name));
+  sdw::exec::Batch fact;
+  ColumnVector fk(TypeId::kInt64), val(TypeId::kInt64);
+  for (int i = 0; i < 65536; ++i) {
+    fk.AppendInt(rng.UniformRange(0, 1023));
+    val.AppendInt(rng.UniformRange(0, 100));
+  }
+  fact.columns.push_back(std::move(fk));
+  fact.columns.push_back(std::move(val));
+  const auto dim_types = dim.Types();
+  RunOverCopies(state, fact, [&](sdw::exec::OperatorPtr probe) {
+    sdw::exec::Batch build = sdw::exec::MakeBatch(dim_types);
+    for (size_t c = 0; c < dim_types.size(); ++c) {
+      SDW_CHECK_OK(build.columns[c].AppendRange(dim.columns[c], 0, 1024));
+    }
+    std::vector<sdw::exec::Batch> builds;
+    builds.push_back(std::move(build));
+    return sdw::exec::HashJoin(
+        std::move(probe), sdw::exec::MemoryScan(dim_types, std::move(builds)),
+        {0}, {0});
+  });
+}
+BENCHMARK(BM_HashJoinProbe);
 
 void BM_HllAdd(benchmark::State& state) {
   sdw::exec::HyperLogLog hll;

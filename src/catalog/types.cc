@@ -42,7 +42,7 @@ int Datum::Compare(const Datum& other) const {
 }
 
 uint64_t Datum::Hash() const {
-  if (is_null_) return 0x6e756c6cull;  // "null"
+  if (is_null_) return kNullHash;
   switch (type_) {
     case TypeId::kString:
       return Hash64(std::string_view(string_));

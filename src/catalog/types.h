@@ -75,6 +75,8 @@ class Datum {
 
   /// Hash consistent with operator== (used for hash distribution/joins).
   uint64_t Hash() const;
+  /// What Hash() returns for NULL.
+  static constexpr uint64_t kNullHash = 0x6e756c6cull;  // "null"
 
   /// SQL-ish rendering ("NULL", "42", "'abc'", "3.14").
   std::string ToString() const;

@@ -2,8 +2,8 @@
 
 #include <numeric>
 
-#include "common/hash.h"
 #include "common/logging.h"
+#include "exec/hash_table.h"
 #include "exec/operators.h"
 #include "exec/row_executor.h"
 #include "obs/registry.h"
@@ -12,17 +12,6 @@
 namespace sdw::cluster {
 
 namespace {
-
-/// Key hash of one row over the given columns (must match across the
-/// two sides of a shuffle).
-uint64_t RowKeyHash(const exec::Batch& batch, const std::vector<int>& keys,
-                    size_t row) {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (int k : keys) {
-    h = HashCombine(h, batch.columns[k].DatumAt(row).Hash());
-  }
-  return h;
-}
 
 /// Builds the scan (+ residual filter) operator for one slice over the
 /// statement's pinned snapshot. `telemetry` (when non-null) receives
@@ -276,18 +265,27 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
                 mine.push_back(exec::MakeBatch(types));
               }
               uint64_t rows_routed = 0;
+              std::vector<uint64_t> hashes;
+              std::vector<std::vector<uint32_t>> routed(slices);
               while (true) {
                 SDW_ASSIGN_OR_RETURN(std::optional<exec::Batch> batch,
                                      op->Next());
                 if (!batch.has_value()) break;
                 const size_t n = batch->num_rows();
                 rows_routed += n;
+                // Hash the batch once, then gather each target's rows
+                // column by column.
+                exec::HashRows(*batch, keys, &hashes);
+                for (auto& rows : routed) rows.clear();
                 for (size_t i = 0; i < n; ++i) {
-                  const int target = static_cast<int>(
-                      RowKeyHash(*batch, keys, i) %
-                      static_cast<uint64_t>(slices));
-                  SDW_RETURN_IF_ERROR(
-                      exec::AppendRow(*batch, i, &mine[target]));
+                  routed[hashes[i] % static_cast<uint64_t>(slices)].push_back(
+                      static_cast<uint32_t>(i));
+                }
+                for (int t = 0; t < slices; ++t) {
+                  for (size_t c = 0; c < batch->columns.size(); ++c) {
+                    SDW_RETURN_IF_ERROR(mine[t].columns[c].AppendSelected(
+                        batch->columns[c], routed[t]));
+                  }
                 }
               }
               // Cross-node moves hit the interconnect: charge the real

@@ -58,20 +58,4 @@ uint32_t Crc32c(const void* data, size_t n) {
   return crc ^ 0xffffffffu;
 }
 
-uint64_t Hash64(uint64_t value) {
-  uint64_t z = value + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-uint64_t Hash64(std::string_view value) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : value) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return Hash64(h);
-}
-
 }  // namespace sdw

@@ -40,15 +40,6 @@ inline Batch MakeBatch(const std::vector<TypeId>& types) {
   return b;
 }
 
-/// Appends row i of `src` to `dst` (columns must line up).
-inline Status AppendRow(const Batch& src, size_t i, Batch* dst) {
-  for (size_t c = 0; c < src.columns.size(); ++c) {
-    SDW_RETURN_IF_ERROR(
-        dst->columns[c].AppendRange(src.columns[c], i, i + 1));
-  }
-  return Status::OK();
-}
-
 }  // namespace sdw::exec
 
 #endif  // SDW_EXEC_BATCH_H_

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
-#include "common/hash.h"
-#include "exec/hll.h"
-#include "common/logging.h"
 #include "obs/profiler.h"
 
 namespace sdw::exec {
@@ -26,42 +22,6 @@ Result<Batch> Collect(Operator* op) {
 }
 
 namespace {
-
-// Serializes a set of key datums into a hashable string (type-erased,
-// length-delimited so distinct tuples never collide).
-std::string SerializeKey(const Batch& batch, const std::vector<int>& keys,
-                         size_t row) {
-  std::string out;
-  for (int k : keys) {
-    const ColumnVector& col = batch.columns[k];
-    if (col.IsNull(row)) {
-      out.push_back('\x00');
-      continue;
-    }
-    out.push_back('\x01');
-    switch (col.type()) {
-      case TypeId::kString: {
-        const std::string& s = col.StringAt(row);
-        uint32_t len = static_cast<uint32_t>(s.size());
-        out.append(reinterpret_cast<const char*>(&len), 4);
-        out.append(s);
-        break;
-      }
-      case TypeId::kDouble: {
-        double d = col.DoubleAt(row);
-        if (d == 0.0) d = 0.0;  // normalize -0.0
-        out.append(reinterpret_cast<const char*>(&d), 8);
-        break;
-      }
-      default: {
-        int64_t v = col.IntAt(row);
-        out.append(reinterpret_cast<const char*>(&v), 8);
-        break;
-      }
-    }
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // MemoryScan
@@ -304,56 +264,61 @@ class HashJoinOp : public Operator {
   }
 
   Result<std::optional<Batch>> Next() override {
-    if (!built_) {
-      SDW_RETURN_IF_ERROR(Build());
-      built_ = true;
-    }
+    if (!table_.has_value()) SDW_RETURN_IF_ERROR(Build());
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, probe_->Next());
       if (!batch.has_value()) return std::optional<Batch>();
-      Batch out = MakeBatch(OutputTypes());
+      // Probe the whole batch, then gather the matched (probe, build)
+      // row pairs column by column.
       const size_t n = batch->num_rows();
-      const size_t probe_width = batch->num_columns();
+      HashRows(*batch, probe_keys_, &hashes_);
+      ids_.resize(n);
+      table_->Find(*batch, probe_keys_, hashes_.data(), ids_.data());
+      probe_rows_.clear();
+      build_rows_.clear();
       for (size_t i = 0; i < n; ++i) {
-        // NULL keys never join.
-        bool null_key = false;
-        for (int k : probe_keys_) {
-          if (batch->columns[k].IsNull(i)) {
-            null_key = true;
-            break;
-          }
-        }
-        if (null_key) continue;
-        std::string key = SerializeKey(*batch, probe_keys_, i);
-        auto [lo, hi] = table_.equal_range(key);
-        for (auto it = lo; it != hi; ++it) {
-          SDW_RETURN_IF_ERROR(AppendRow(*batch, i, &out));
-          // Append matching build row into the trailing columns.
-          for (size_t c = 0; c < build_data_.num_columns(); ++c) {
-            SDW_RETURN_IF_ERROR(out.columns[probe_width + c].AppendRange(
-                build_data_.columns[c], it->second, it->second + 1));
-          }
+        if (ids_[i] == KeyTable::kNoId) continue;
+        for (uint32_t m = first_[ids_[i]]; m < first_[ids_[i] + 1]; ++m) {
+          probe_rows_.push_back(static_cast<uint32_t>(i));
+          build_rows_.push_back(matches_[m]);
         }
       }
-      if (out.num_rows() > 0) return std::optional<Batch>(std::move(out));
+      if (probe_rows_.empty()) continue;
+      Batch out;
+      out.columns.reserve(batch->num_columns() + build_data_.num_columns());
+      for (const ColumnVector& col : batch->columns) {
+        ColumnVector& gathered = out.columns.emplace_back(col.type());
+        SDW_RETURN_IF_ERROR(gathered.AppendSelected(col, probe_rows_));
+      }
+      for (const ColumnVector& col : build_data_.columns) {
+        ColumnVector& gathered = out.columns.emplace_back(col.type());
+        SDW_RETURN_IF_ERROR(gathered.AppendSelected(col, build_rows_));
+      }
+      return std::optional<Batch>(std::move(out));
     }
   }
 
  private:
+  // Builds the key table once and lays each key's build rows out
+  // contiguously in build order: matches_[first_[id], first_[id + 1]).
   Status Build() {
     SDW_ASSIGN_OR_RETURN(build_data_, Collect(build_.get()));
+    std::vector<TypeId> key_types;
+    for (int k : build_keys_) {
+      key_types.push_back(build_data_.columns[k].type());
+    }
+    table_.emplace(key_types);
     const size_t n = build_data_.num_rows();
-    table_.reserve(n);
+    HashRows(build_data_, build_keys_, &hashes_);
+    ids_.resize(n);
+    table_->Insert(build_data_, build_keys_, hashes_.data(), ids_.data());
+    first_.assign(table_->size() + 1, 0);
+    for (size_t i = 0; i < n; ++i) ++first_[ids_[i] + 1];
+    for (size_t id = 0; id < table_->size(); ++id) first_[id + 1] += first_[id];
+    std::vector<uint32_t> next(first_.begin(), first_.end() - 1);
+    matches_.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      bool null_key = false;
-      for (int k : build_keys_) {
-        if (build_data_.columns[k].IsNull(i)) {
-          null_key = true;
-          break;
-        }
-      }
-      if (null_key) continue;
-      table_.emplace(SerializeKey(build_data_, build_keys_, i), i);
+      matches_[next[ids_[i]]++] = static_cast<uint32_t>(i);
     }
     return Status::OK();
   }
@@ -362,30 +327,20 @@ class HashJoinOp : public Operator {
   OperatorPtr build_;
   std::vector<int> probe_keys_;
   std::vector<int> build_keys_;
-  bool built_ = false;
   Batch build_data_;
-  std::unordered_multimap<std::string, size_t> table_;
+  std::optional<KeyTable> table_;
+  std::vector<uint32_t> first_;
+  std::vector<uint32_t> matches_;
+  // Per-batch scratch, reused across probe batches.
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> ids_;
+  std::vector<uint32_t> probe_rows_;
+  std::vector<uint32_t> build_rows_;
 };
 
 // ---------------------------------------------------------------------------
 // HashAggregate
 // ---------------------------------------------------------------------------
-
-struct AggState {
-  int64_t count = 0;
-  int64_t sum_int = 0;
-  double sum_double = 0;
-  bool has_value = false;
-  Datum min;
-  Datum max;
-  /// Allocated lazily for kApproxDistinct.
-  std::unique_ptr<HyperLogLog> hll;
-
-  HyperLogLog* Sketch() {
-    if (!hll) hll = std::make_unique<HyperLogLog>();
-    return hll.get();
-  }
-};
 
 class HashAggregateOp : public Operator {
  public:
@@ -409,13 +364,52 @@ class HashAggregateOp : public Operator {
   Result<std::optional<Batch>> Next() override {
     if (done_) return std::optional<Batch>();
     done_ = true;
-    SDW_RETURN_IF_ERROR(Accumulate());
-    return std::optional<Batch>(Emit());
+    std::vector<TypeId> key_types;
+    for (int g : group_by_) key_types.push_back(input_types_[g]);
+    KeyTable table(key_types);
+    std::vector<std::unique_ptr<AggStates>> states;
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      SDW_ASSIGN_OR_RETURN(states.emplace_back(),
+                           MakeAggStates(aggs_[a].fn, AggInputType(a)));
+    }
+    std::vector<uint64_t> hashes;
+    std::vector<uint32_t> ids;
+    while (true) {
+      SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
+      if (!batch.has_value()) break;
+      const size_t n = batch->num_rows();
+      HashRows(*batch, group_by_, &hashes);
+      ids.resize(n);
+      table.Insert(*batch, group_by_, hashes.data(), ids.data());
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        states[a]->Resize(table.size());
+        if (mode_ == AggMode::kFinal) {
+          SDW_RETURN_IF_ERROR(states[a]->Merge(
+              batch->columns[group_by_.size() + a], ids.data()));
+        } else {
+          const int c = aggs_[a].column;
+          SDW_RETURN_IF_ERROR(states[a]->Update(
+              c < 0 ? nullptr : &batch->columns[c], ids.data(), n));
+        }
+      }
+    }
+    // A global aggregate (no GROUP BY) over zero rows still emits one
+    // row of empty aggregates.
+    const size_t groups =
+        group_by_.empty() ? std::max<size_t>(table.size(), 1) : table.size();
+    Batch out = MakeBatch(OutputTypes());
+    for (size_t k = 0; k < group_by_.size(); ++k) {
+      table.AppendKeys(k, &out.columns[k]);
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      states[a]->Resize(groups);
+      states[a]->Finalize(mode_ == AggMode::kPartial,
+                          &out.columns[group_by_.size() + a]);
+    }
+    return std::optional<Batch>(std::move(out));
   }
 
  private:
-  struct Group;
-
   TypeId AggInputType(size_t a) const {
     // In kFinal mode the agg inputs are the partial-output columns,
     // laid out right after the group columns.
@@ -444,271 +438,13 @@ class HashAggregateOp : public Operator {
     return TypeId::kInt64;
   }
 
-  /// True if this batch can go through the type-specialized kernel:
-  /// single null-free integer group key and count/sum aggregates only.
-  /// This is the "tighter execution" a compiled plan buys (§2.1).
-  bool CanFastPath(const Batch& batch) const {
-    if (mode_ == AggMode::kFinal) return false;
-    if (group_by_.size() != 1) return false;
-    const ColumnVector& key = batch.columns[group_by_[0]];
-    if (key.type() == TypeId::kString || key.type() == TypeId::kDouble ||
-        key.has_nulls()) {
-      return false;
-    }
-    for (const AggSpec& spec : aggs_) {
-      if (spec.fn == AggFn::kMin || spec.fn == AggFn::kMax ||
-          spec.fn == AggFn::kApproxDistinct) {
-        return false;
-      }
-      if (spec.column >= 0 &&
-          batch.columns[spec.column].type() == TypeId::kString) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  Status FastAccumulate(const Batch& batch) {
-    const auto& keys = batch.columns[group_by_[0]].ints();
-    const size_t n = keys.size();
-    // Pre-resolve lane pointers per aggregate.
-    struct Lane {
-      AggFn fn;
-      const int64_t* ints = nullptr;
-      const double* doubles = nullptr;
-      const uint8_t* nulls = nullptr;  // null when the column has no NULLs
-    };
-    std::vector<Lane> lanes;
-    lanes.reserve(aggs_.size());
-    for (const AggSpec& spec : aggs_) {
-      Lane lane;
-      lane.fn = spec.fn;
-      if (spec.column >= 0) {
-        const ColumnVector& col = batch.columns[spec.column];
-        if (col.type() == TypeId::kDouble) {
-          lane.doubles = col.doubles().data();
-        } else {
-          lane.ints = col.ints().data();
-        }
-        if (col.has_nulls()) lane.nulls = col.nulls().data();
-      }
-      lanes.push_back(lane);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const int64_t key = keys[i];
-      auto [it, inserted] = fast_groups_.try_emplace(key, nullptr);
-      if (inserted) {
-        // Materialize the group through the generic path once so the
-        // string-keyed map and emit order stay consistent.
-        std::string skey = SerializeKey(batch, group_by_, i);
-        auto [git, gnew] = groups_.try_emplace(std::move(skey));
-        if (gnew) {
-          Group& g = git->second;
-          g.keys.push_back(batch.columns[group_by_[0]].DatumAt(i));
-          g.states.resize(aggs_.size());
-          group_order_.push_back(&*git);
-        }
-        it->second = &git->second;
-      }
-      Group& g = *it->second;
-      for (size_t a = 0; a < lanes.size(); ++a) {
-        const Lane& lane = lanes[a];
-        AggState& s = g.states[a];
-        switch (lane.fn) {
-          case AggFn::kCount:
-            if (lane.ints == nullptr && lane.doubles == nullptr) {
-              ++s.count;  // COUNT(*)
-            } else if (lane.nulls == nullptr || lane.nulls[i] == 0) {
-              ++s.count;
-            }
-            break;
-          case AggFn::kSum:
-            if (lane.nulls != nullptr && lane.nulls[i] != 0) break;
-            if (lane.doubles != nullptr) {
-              s.sum_double += lane.doubles[i];
-            } else {
-              s.sum_int += lane.ints[i];
-              s.sum_double += static_cast<double>(lane.ints[i]);
-            }
-            s.has_value = true;
-            break;
-          case AggFn::kMin:
-          case AggFn::kMax:
-          case AggFn::kApproxDistinct:
-            break;  // excluded by CanFastPath
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  Status Accumulate() {
-    while (true) {
-      SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
-      if (!batch.has_value()) break;
-      if (CanFastPath(*batch)) {
-        SDW_RETURN_IF_ERROR(FastAccumulate(*batch));
-        continue;
-      }
-      const size_t n = batch->num_rows();
-      for (size_t i = 0; i < n; ++i) {
-        std::string key = SerializeKey(*batch, group_by_, i);
-        auto it = groups_.find(key);
-        if (it == groups_.end()) {
-          Group g;
-          g.keys.reserve(group_by_.size());
-          for (int k : group_by_) {
-            g.keys.push_back(batch->columns[k].DatumAt(i));
-          }
-          g.states.resize(aggs_.size());
-          it = groups_.emplace(std::move(key), std::move(g)).first;
-          group_order_.push_back(&*it);
-        }
-        SDW_RETURN_IF_ERROR(Update(&it->second, *batch, i));
-      }
-    }
-    // A global aggregate (no GROUP BY) over zero rows still emits one
-    // row of empty aggregates in kSingle/kFinal mode.
-    if (group_by_.empty() && groups_.empty()) {
-      Group g;
-      g.states.resize(aggs_.size());
-      auto it = groups_.emplace("", std::move(g)).first;
-      group_order_.push_back(&*it);
-    }
-    return Status::OK();
-  }
-
-  Status Update(Group* g, const Batch& batch, size_t row);
-
-  Batch Emit() {
-    Batch out = MakeBatch(OutputTypes());
-    for (auto* entry : group_order_) {
-      Group& g = entry->second;
-      for (size_t k = 0; k < group_by_.size(); ++k) {
-        SDW_CHECK_OK(out.columns[k].AppendDatum(g.keys[k]));
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        ColumnVector& col = out.columns[group_by_.size() + a];
-        const AggState& s = g.states[a];
-        switch (aggs_[a].fn) {
-          case AggFn::kCount:
-            col.AppendInt(s.count);
-            break;
-          case AggFn::kSum:
-            if (!s.has_value) {
-              col.AppendNull();
-            } else if (col.type() == TypeId::kDouble) {
-              col.AppendDouble(s.sum_double);
-            } else {
-              col.AppendInt(s.sum_int);
-            }
-            break;
-          case AggFn::kMin:
-            SDW_CHECK_OK(col.AppendDatum(s.has_value ? s.min : Datum::Null()));
-            break;
-          case AggFn::kMax:
-            SDW_CHECK_OK(col.AppendDatum(s.has_value ? s.max : Datum::Null()));
-            break;
-          case AggFn::kApproxDistinct:
-            if (mode_ == AggMode::kPartial) {
-              col.AppendString(g.states[a].Sketch()->Serialize());
-            } else {
-              col.AppendInt(s.hll == nullptr
-                                ? 0
-                                : static_cast<int64_t>(s.hll->Estimate()));
-            }
-            break;
-        }
-      }
-    }
-    return out;
-  }
-
-  struct Group {
-    std::vector<Datum> keys;
-    std::vector<AggState> states;
-  };
-
   OperatorPtr input_;
   std::vector<int> group_by_;
   std::vector<AggSpec> aggs_;
   AggMode mode_;
   std::vector<TypeId> input_types_;
   bool done_ = false;
-  std::unordered_map<std::string, Group> groups_;
-  std::vector<std::pair<const std::string, Group>*> group_order_;
-  /// Fast-path index: integer group key -> group (pointers are stable
-  /// because unordered_map is node-based).
-  std::unordered_map<int64_t, Group*> fast_groups_;
 };
-
-Status HashAggregateOp::Update(Group* g, const Batch& batch, size_t row) {
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    AggState& s = g->states[a];
-    const AggSpec& spec = aggs_[a];
-    // Input column for this agg.
-    int col_idx;
-    if (mode_ == AggMode::kFinal) {
-      col_idx = static_cast<int>(group_by_.size() + a);
-    } else {
-      col_idx = spec.column;
-    }
-    if (spec.fn == AggFn::kCount) {
-      if (mode_ == AggMode::kFinal) {
-        // Merging partial counts: sum them.
-        const ColumnVector& col = batch.columns[col_idx];
-        if (!col.IsNull(row)) s.count += col.IntAt(row);
-      } else if (col_idx < 0) {
-        ++s.count;  // COUNT(*)
-      } else {
-        if (!batch.columns[col_idx].IsNull(row)) ++s.count;
-      }
-      continue;
-    }
-    const ColumnVector& col = batch.columns[col_idx];
-    if (col.IsNull(row)) continue;
-    if (spec.fn == AggFn::kApproxDistinct) {
-      if (mode_ == AggMode::kFinal) {
-        // Partials arrive as serialized sketches: merge them.
-        SDW_ASSIGN_OR_RETURN(HyperLogLog partial,
-                             HyperLogLog::Deserialize(col.StringAt(row)));
-        SDW_RETURN_IF_ERROR(s.Sketch()->Merge(partial));
-      } else {
-        s.Sketch()->Add(col.DatumAt(row).Hash());
-      }
-      continue;
-    }
-    switch (spec.fn) {
-      case AggFn::kSum:
-        if (col.type() == TypeId::kDouble) {
-          s.sum_double += col.DoubleAt(row);
-        } else {
-          s.sum_int += col.IntAt(row);
-          s.sum_double += static_cast<double>(col.IntAt(row));
-        }
-        s.has_value = true;
-        break;
-      case AggFn::kMin: {
-        Datum v = col.DatumAt(row);
-        if (!s.has_value || v < s.min) s.min = v;
-        if (!s.has_value || s.max < v) s.max = v;
-        s.has_value = true;
-        break;
-      }
-      case AggFn::kMax: {
-        Datum v = col.DatumAt(row);
-        if (!s.has_value || v < s.min) s.min = v;
-        if (!s.has_value || s.max < v) s.max = v;
-        s.has_value = true;
-        break;
-      }
-      case AggFn::kCount:
-      case AggFn::kApproxDistinct:
-        break;  // handled above
-    }
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------------
 // Sort
@@ -727,10 +463,9 @@ class SortOp : public Operator {
     if (done_) return std::optional<Batch>();
     done_ = true;
     SDW_ASSIGN_OR_RETURN(Batch all, Collect(input_.get()));
-    const size_t n = all.num_rows();
-    std::vector<size_t> order(n);
+    std::vector<uint32_t> order(all.num_rows());
     std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       for (const SortKey& key : keys_) {
         const ColumnVector& col = all.columns[key.column];
         int cmp = col.DatumAt(a).Compare(col.DatumAt(b));
@@ -739,8 +474,8 @@ class SortOp : public Operator {
       return false;
     });
     Batch out = MakeBatch(all.Types());
-    for (size_t i : order) {
-      SDW_RETURN_IF_ERROR(AppendRow(all, i, &out));
+    for (size_t c = 0; c < all.columns.size(); ++c) {
+      SDW_RETURN_IF_ERROR(out.columns[c].AppendSelected(all.columns[c], order));
     }
     return std::optional<Batch>(std::move(out));
   }
@@ -773,8 +508,9 @@ class LimitOp : public Operator {
       return batch;
     }
     Batch out = MakeBatch(batch->Types());
-    for (size_t i = 0; i < remaining_; ++i) {
-      SDW_RETURN_IF_ERROR(AppendRow(*batch, i, &out));
+    for (size_t c = 0; c < batch->columns.size(); ++c) {
+      SDW_RETURN_IF_ERROR(
+          out.columns[c].AppendRange(batch->columns[c], 0, remaining_));
     }
     remaining_ = 0;
     return std::optional<Batch>(std::move(out));

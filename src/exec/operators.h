@@ -7,6 +7,7 @@
 
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "exec/hash_table.h"
 #include "storage/table_shard.h"
 
 namespace sdw::obs {
@@ -85,18 +86,10 @@ OperatorPtr Project(OperatorPtr input, std::vector<ExprPtr> exprs);
 
 /// Inner hash join: materializes and hashes `build`, streams `probe`.
 /// Output columns: probe columns then build columns. Keys are column
-/// indices into each side's output.
+/// indices into each side's output. Rows come out in probe order, and
+/// a probe row's matches in build order; NULL keys never match.
 OperatorPtr HashJoin(OperatorPtr probe, OperatorPtr build,
                      std::vector<int> probe_keys, std::vector<int> build_keys);
-
-/// Aggregate functions. AVG is planned as SUM/COUNT upstream so that
-/// partial aggregates merge associatively across slices.
-/// kApproxDistinct implements APPROXIMATE COUNT(DISTINCT) via
-/// HyperLogLog sketches: slices emit serialized sketches as their
-/// partials (a string column) and the leader merges them — the paper's
-/// "distributed approximate equivalents for ... non-linear exact
-/// operations" (§4).
-enum class AggFn { kCount, kSum, kMin, kMax, kApproxDistinct };
 
 struct AggSpec {
   AggFn fn = AggFn::kCount;
@@ -111,8 +104,10 @@ struct AggSpec {
 enum class AggMode { kSingle, kPartial, kFinal };
 
 /// Hash aggregation grouped by `group_by` columns. Output: group
-/// columns, then one column per agg. In kFinal mode the input must have
-/// the kPartial output layout.
+/// columns, then one column per agg, one row per group in first-seen
+/// order (NULL keys group together). In kFinal mode the input must have
+/// the kPartial output layout. An integer SUM that overflows fails with
+/// OutOfRange.
 OperatorPtr HashAggregate(OperatorPtr input, std::vector<int> group_by,
                           std::vector<AggSpec> aggs,
                           AggMode mode = AggMode::kSingle);

@@ -108,29 +108,33 @@ class RowAggregateOp : public RowOperator {
     std::unique_ptr<HyperLogLog> hll;
   };
 
+  /// Orders group keys by value (Datum::Compare: NULLs first, -0.0 ==
+  /// 0.0), so the output order is deterministic.
+  struct KeyLess {
+    bool operator()(const Row& a, const Row& b) const {
+      for (size_t c = 0; c < a.size(); ++c) {
+        const int cmp = a[c].Compare(b[c]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    }
+  };
+
   Status Accumulate() {
-    // Key by rendered datums (ordered map keeps deterministic output).
-    std::map<std::string, std::pair<Row, std::vector<State>>> groups;
+    std::map<Row, std::vector<State>, KeyLess> groups;
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
       if (!row.has_value()) break;
-      std::string key;
-      Row key_row;
-      for (int g : group_by_) {
-        key += (*row)[g].ToString();
-        key.push_back('\x1f');
-        key_row.push_back((*row)[g]);
-      }
+      Row key;
+      key.reserve(group_by_.size());
+      for (int g : group_by_) key.push_back((*row)[g]);
       auto it = groups.find(key);
       if (it == groups.end()) {
-        it = groups
-                 .emplace(std::move(key),
-                          std::make_pair(std::move(key_row),
-                                         std::vector<State>(aggs_.size())))
+        it = groups.emplace(std::move(key), std::vector<State>(aggs_.size()))
                  .first;
       }
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        State& s = it->second.second[a];
+        State& s = it->second[a];
         const AggSpec& spec = aggs_[a];
         if (spec.fn == AggFn::kCount) {
           if (spec.column < 0 || !(*row)[spec.column].is_null()) ++s.count;
@@ -143,8 +147,9 @@ class RowAggregateOp : public RowOperator {
             if (v.type() == TypeId::kDouble) {
               s.sum += v.double_value();
               s.sum_is_double = true;
-            } else {
-              s.sum_int += v.int_value();
+            } else if (__builtin_add_overflow(s.sum_int, v.int_value(),
+                                              &s.sum_int)) {
+              return Status::OutOfRange("integer SUM overflows BIGINT");
             }
             s.has_value = true;
             break;
@@ -164,12 +169,12 @@ class RowAggregateOp : public RowOperator {
       }
     }
     if (group_by_.empty() && groups.empty()) {
-      groups.emplace("", std::make_pair(Row{}, std::vector<State>(aggs_.size())));
+      groups.emplace(Row{}, std::vector<State>(aggs_.size()));
     }
-    for (auto& [_, entry] : groups) {
-      Row out = std::move(entry.first);
+    for (auto& [key, states] : groups) {
+      Row out = key;
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        const State& s = entry.second[a];
+        const State& s = states[a];
         switch (aggs_[a].fn) {
           case AggFn::kCount:
             out.push_back(Datum::Int64(s.count));

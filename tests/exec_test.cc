@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "cluster/cluster.h"
+#include "cluster/executor.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "exec/expr.h"
 #include "exec/operators.h"
 #include "exec/row_executor.h"
+#include "plan/planner.h"
 #include "storage/block_store.h"
 #include "storage/table_shard.h"
 
@@ -203,6 +208,24 @@ TEST(OperatorTest, HashJoinDuplicateBuildKeysFanOut) {
   EXPECT_EQ(out->num_rows(), 2u);
 }
 
+TEST(OperatorTest, HashJoinDuplicateBuildKeysInBuildOrder) {
+  // A probe row's matches come out in build order, across build batches.
+  std::vector<Batch> build;
+  build.push_back(IntBatch({{7, 8, 7}, {0, 9, 1}}));
+  build.push_back(IntBatch({{7}, {2}}));
+  auto join = HashJoin(ScanOf(IntBatch({{7, 8, 7}})),
+                       MemoryScan({TypeId::kInt64, TypeId::kInt64},
+                                  std::move(build)),
+                       {0}, {0});
+  auto out = Collect(join.get());
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 7u);
+  const int64_t want[] = {0, 1, 2, 9, 0, 1, 2};
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ(out->columns[2].IntAt(i), want[i]) << "row " << i;
+  }
+}
+
 TEST(OperatorTest, HashJoinNullKeysNeverMatch) {
   ColumnVector k(TypeId::kInt64);
   k.AppendNull();
@@ -390,7 +413,8 @@ TEST(RowExecutorTest, MatchesVectorizedPipeline) {
   auto row_collected = CollectRows(
       row_pipe.get(), {TypeId::kInt64, TypeId::kInt64, TypeId::kDouble});
   ASSERT_TRUE(row_collected.ok());
-  // Row groups come back in rendered-key order; normalize to numeric.
+  // Row groups come back in key order, vectorized ones in first-seen
+  // order: sort both.
   std::vector<Batch> row_batches;
   auto row_types = row_collected->Types();
   row_batches.push_back(std::move(*row_collected));
@@ -492,6 +516,121 @@ TEST(RowExecutorTest, ProjectAndFilter) {
   auto out = CollectRows(pipe.get(), {TypeId::kInt64});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 20u);
+}
+
+// ---------------------------------------------------------------------------
+// Integer SUM overflow: both engines return OutOfRange instead of
+// wrapping, in the per-slice partial and in the leader's final merge.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kNearMax = std::numeric_limits<int64_t>::max() - 1;
+
+TEST(OperatorTest, SumOverflowIsOutOfRange) {
+  for (AggMode mode : {AggMode::kSingle, AggMode::kPartial}) {
+    auto agg = HashAggregate(ScanOf(IntBatch({{1, 1}, {kNearMax, kNearMax}})),
+                             {0}, {{AggFn::kSum, 1}}, mode);
+    EXPECT_EQ(Collect(agg.get()).status().code(), StatusCode::kOutOfRange);
+  }
+  // Below INT64_MIN too, and in a global aggregate.
+  auto low = HashAggregate(
+      ScanOf(IntBatch({{std::numeric_limits<int64_t>::min(), -1}})), {},
+      {{AggFn::kSum, 0}});
+  EXPECT_EQ(Collect(low.get()).status().code(), StatusCode::kOutOfRange);
+  // Two partials that each fit overflow only when the leader merges them.
+  std::vector<Batch> partials;
+  partials.push_back(IntBatch({{1}, {kNearMax}}));
+  partials.push_back(IntBatch({{1}, {kNearMax}}));
+  auto final_agg =
+      HashAggregate(MemoryScan({TypeId::kInt64, TypeId::kInt64},
+                               std::move(partials)),
+                    {0}, {{AggFn::kSum, 1}}, AggMode::kFinal);
+  EXPECT_EQ(Collect(final_agg.get()).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(RowExecutorTest, SumOverflowIsOutOfRange) {
+  storage::BlockStore store;
+  storage::TableShard shard(TableSchema("t", {{"v", TypeId::kInt64}}), {},
+                            &store);
+  std::vector<ColumnVector> run;
+  run.push_back(ColumnVector::TakeInts(TypeId::kInt64, {kNearMax, kNearMax}));
+  ASSERT_TRUE(shard.Append(run).ok());
+  auto pipe = RowAggregate(RowScan(&shard, {0}), {}, {{AggFn::kSum, 0}});
+  EXPECT_EQ(CollectRows(pipe.get(), {TypeId::kInt64}).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+/// SUM(v) through the cluster executor in every engine and pool setting.
+/// With `same_slice` both rows share a dist key, so the slice's partial
+/// overflows; otherwise round-robin puts them on two slices and only the
+/// leader's final merge overflows.
+void ExpectClusterSumOverflow(bool same_slice) {
+  cluster::ClusterConfig config;
+  config.num_nodes = 2;
+  config.slices_per_node = 2;
+  cluster::Cluster cluster(config);
+  TableSchema schema("t", {{"k", TypeId::kInt64}, {"v", TypeId::kInt64}});
+  if (same_slice) {
+    ASSERT_TRUE(schema.SetDistKey("k").ok());
+  } else {
+    schema.SetDistStyle(DistStyle::kEven);
+  }
+  ASSERT_TRUE(cluster.CreateTable(schema).ok());
+  std::vector<ColumnVector> cols;
+  cols.push_back(ColumnVector::TakeInts(TypeId::kInt64, {7, 7}));
+  cols.push_back(ColumnVector::TakeInts(TypeId::kInt64, {kNearMax, kNearMax}));
+  ASSERT_TRUE(cluster.InsertRows("t", cols).ok());
+
+  plan::LogicalQuery q;
+  q.from_table = "t";
+  q.select = {{plan::LogicalAggFn::kSum, {"", "v"}, "s"}};
+  plan::Planner planner(cluster.catalog());
+  auto physical = planner.Plan(q);
+  ASSERT_TRUE(physical.ok()) << physical.status();
+  for (auto mode : {cluster::ExecutionMode::kCompiled,
+                    cluster::ExecutionMode::kInterpreted}) {
+    for (int pool_size : {0, 4}) {
+      cluster::ExecOptions options;
+      options.mode = mode;
+      options.pool_size = pool_size;
+      cluster::QueryExecutor executor(&cluster, options);
+      EXPECT_EQ(executor.Execute(*physical).status().code(),
+                StatusCode::kOutOfRange)
+          << "same_slice=" << same_slice << " interpreted="
+          << (mode == cluster::ExecutionMode::kInterpreted)
+          << " pool=" << pool_size;
+    }
+  }
+}
+
+TEST(ClusterSumOverflowTest, PartialOverflowIsOutOfRange) {
+  ExpectClusterSumOverflow(/*same_slice=*/true);
+}
+
+TEST(ClusterSumOverflowTest, FinalMergeOverflowIsOutOfRange) {
+  ExpectClusterSumOverflow(/*same_slice=*/false);
+}
+
+// The interpreted engine keys its groups by value: distinct doubles that
+// print alike under %g stay apart, and -0.0 groups with 0.0.
+TEST(RowExecutorTest, DistinctDoubleKeysStayApart) {
+  storage::BlockStore store;
+  storage::TableShard shard(TableSchema("t", {{"x", TypeId::kDouble}}), {},
+                            &store);
+  std::vector<ColumnVector> run;
+  run.push_back(ColumnVector::TakeDoubles({1234567.0, 1234568.0, 0.0, -0.0}));
+  ASSERT_TRUE(shard.Append(run).ok());
+  auto pipe = RowAggregate(RowScan(&shard, {0}), {0}, {{AggFn::kCount, -1}});
+  auto out = CollectRows(pipe.get(), {TypeId::kDouble, TypeId::kInt64});
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_EQ(out->num_rows(), 3u);
+  // Ordered by value: 0 (twice), 1234567, 1234568.
+  EXPECT_EQ(out->columns[0].DoubleAt(0), 0.0);
+  EXPECT_EQ(out->columns[1].IntAt(0), 2);
+  EXPECT_EQ(out->columns[0].DoubleAt(1), 1234567.0);
+  EXPECT_EQ(out->columns[1].IntAt(1), 1);
+  EXPECT_EQ(out->columns[0].DoubleAt(2), 1234568.0);
+  EXPECT_EQ(out->columns[1].IntAt(2), 1);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Tests for the performance fast paths: selection-vector filtering,
-// the specialized aggregation kernel, decode caching, bulk AppendRange
-// and the lane-wrapping constructors. Each fast path must be
-// behaviourally identical to the generic path it shortcuts.
+// Tests for the performance paths: selection-vector filtering, the
+// typed aggregation kernel, decode caching, bulk AppendRange and the
+// lane-wrapping constructors. Each must be behaviourally identical to a
+// plain row-by-row reference.
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -134,7 +136,7 @@ TEST(FilterFastPathTest, PassThroughWhenNothingFiltered) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregation fast path vs generic path
+// Aggregation: one typed path for every key and aggregate
 // ---------------------------------------------------------------------------
 
 exec::Batch MakeAggBatch(size_t n, uint64_t seed, bool with_nulls) {
@@ -171,35 +173,50 @@ exec::Batch RunAgg(exec::Batch input, const std::vector<exec::AggSpec>& aggs,
   return std::move(*out);
 }
 
-TEST(AggFastPathTest, FastAndGenericAgree) {
-  // The same input aggregated (a) via the fast path (int key, count/sum)
-  // and (b) via the generic path (forced by adding a MIN agg) must give
-  // identical counts and sums.
-  std::vector<exec::AggSpec> fast_aggs = {{exec::AggFn::kCount, -1},
-                                          {exec::AggFn::kSum, 1},
-                                          {exec::AggFn::kSum, 2}};
-  std::vector<exec::AggSpec> generic_aggs = fast_aggs;
-  generic_aggs.push_back({exec::AggFn::kMin, 1});  // disables the fast path
+TEST(AggSinglePathTest, CountSumMatchRowByRowReference) {
+  // Integer key with COUNT(*)/SUM(int)/SUM(double) — the shape the old
+  // integer fast path took — must equal a row-by-row reference, and
+  // adding a MIN (which the old generic path needed) changes nothing.
+  std::vector<exec::AggSpec> aggs = {{exec::AggFn::kCount, -1},
+                                     {exec::AggFn::kSum, 1},
+                                     {exec::AggFn::kSum, 2}};
+  std::vector<exec::AggSpec> with_min = aggs;
+  with_min.push_back({exec::AggFn::kMin, 1});
 
   for (bool with_nulls : {false, true}) {
-    exec::Batch fast =
-        RunAgg(MakeAggBatch(20000, 7, with_nulls), fast_aggs, {0});
-    exec::Batch generic =
-        RunAgg(MakeAggBatch(20000, 7, with_nulls), generic_aggs, {0});
-    ASSERT_EQ(fast.num_rows(), generic.num_rows());
-    for (size_t i = 0; i < fast.num_rows(); ++i) {
-      EXPECT_EQ(fast.columns[0].IntAt(i), generic.columns[0].IntAt(i));
-      EXPECT_EQ(fast.columns[1].IntAt(i), generic.columns[1].IntAt(i));
-      EXPECT_EQ(fast.columns[2].IntAt(i), generic.columns[2].IntAt(i));
-      EXPECT_NEAR(fast.columns[3].DoubleAt(i), generic.columns[3].DoubleAt(i),
-                  1e-9);
+    exec::Batch input = MakeAggBatch(20000, 7, with_nulls);
+    struct Ref {
+      int64_t count = 0;
+      int64_t sum = 0;
+      double dsum = 0;
+    };
+    std::map<int64_t, Ref> ref;
+    for (size_t i = 0; i < input.num_rows(); ++i) {
+      Ref& r = ref[input.columns[0].IntAt(i)];
+      ++r.count;
+      if (!input.columns[1].IsNull(i)) r.sum += input.columns[1].IntAt(i);
+      r.dsum += input.columns[2].DoubleAt(i);
+    }
+    exec::Batch plain = RunAgg(MakeAggBatch(20000, 7, with_nulls), aggs, {0});
+    exec::Batch wider =
+        RunAgg(MakeAggBatch(20000, 7, with_nulls), with_min, {0});
+    ASSERT_EQ(plain.num_rows(), ref.size());
+    ASSERT_EQ(wider.num_rows(), ref.size());
+    size_t i = 0;
+    for (const auto& [key, r] : ref) {
+      for (const exec::Batch* out : {&plain, &wider}) {
+        EXPECT_EQ(out->columns[0].IntAt(i), key);
+        EXPECT_EQ(out->columns[1].IntAt(i), r.count);
+        EXPECT_EQ(out->columns[2].IntAt(i), r.sum);
+        EXPECT_EQ(out->columns[3].DoubleAt(i), r.dsum);  // row order kept
+      }
+      ++i;
     }
   }
 }
 
-TEST(AggFastPathTest, NullKeysFallBackCorrectly) {
-  // A batch whose key column has NULLs must take the generic path and
-  // produce a NULL group.
+TEST(AggSinglePathTest, NullKeysFormOneGroup) {
+  // NULL keys group together, next to the non-NULL groups.
   exec::Batch batch;
   ColumnVector key(TypeId::kInt64);
   ColumnVector v(TypeId::kInt64);
@@ -221,9 +238,9 @@ TEST(AggFastPathTest, NullKeysFallBackCorrectly) {
   EXPECT_EQ(out.columns[2].IntAt(1), 10);
 }
 
-TEST(AggFastPathTest, MixedFastAndGenericBatchesShareGroups) {
-  // Stream two batches: one null-free (fast path) and one with NULL
-  // keys (generic); both must land in the same group table.
+TEST(AggSinglePathTest, NullFreeAndNullKeyBatchesShareGroups) {
+  // Stream two batches, one null-free and one with NULL keys: both land
+  // in the same key table, in first-seen order.
   exec::Batch clean;
   {
     ColumnVector key(TypeId::kInt64);
@@ -256,14 +273,17 @@ TEST(AggFastPathTest, MixedFastAndGenericBatchesShareGroups) {
   batches.push_back(std::move(dirty));
   auto agg = exec::HashAggregate(exec::MemoryScan(types, std::move(batches)),
                                  {0}, {{exec::AggFn::kSum, 1}});
-  auto out = exec::Collect(exec::Sort(std::move(agg), {{0, false}}).get());
+  auto out = exec::Collect(agg.get());
   ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->num_rows(), 6u);  // NULL + 5 keys
+  ASSERT_EQ(out->num_rows(), 6u);  // 5 keys, then NULL
   int64_t total = 0;
-  for (size_t i = 0; i < out->num_rows(); ++i) {
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(out->columns[0].IntAt(i), static_cast<int64_t>(i));
     total += out->columns[1].IntAt(i);
   }
-  EXPECT_EQ(total, 150);
+  EXPECT_TRUE(out->columns[0].IsNull(5));
+  EXPECT_EQ(out->columns[1].IntAt(5), 5);
+  EXPECT_EQ(total + out->columns[1].IntAt(5), 150);
 }
 
 // ---------------------------------------------------------------------------
