@@ -88,7 +88,8 @@ int main() {
       const int64_t hi =
           lo + static_cast<int64_t>(kRows * selectivity) - 1;
       RangePredicate pred{0, sdw::Datum::Int64(lo), sdw::Datum::Int64(hi)};
-      shard->ResetCounters();
+      shard->DropDecodeCache();
+      const uint64_t decoded_before = benchutil::BlocksDecodedSoFar();
       uint64_t matched = 0;
       double seconds = benchutil::TimeIt([&] {
         for (const auto& range :
@@ -101,13 +102,14 @@ int main() {
           }
         }
       });
+      const uint64_t blocks_read =
+          benchutil::BlocksDecodedSoFar() - decoded_before;
       std::printf("%-12s  %11.1f%%  %14llu  %14llu  %10s\n",
                   LayoutName(layout), selectivity * 100,
-                  static_cast<unsigned long long>(shard->blocks_decoded()),
+                  static_cast<unsigned long long>(blocks_read),
                   static_cast<unsigned long long>(total_blocks),
                   sdw::FormatDuration(seconds).c_str());
-      const double frac =
-          static_cast<double>(shard->blocks_decoded()) / total_blocks;
+      const double frac = static_cast<double>(blocks_read) / total_blocks;
       if (layout == Layout::kSorted && selectivity == 0.001) {
         sorted_narrow_frac = frac;
       }

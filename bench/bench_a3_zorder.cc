@@ -89,11 +89,12 @@ std::unique_ptr<TableShard> Build(BlockStore* store, sdw::SortStyle style) {
 uint64_t BlocksFor(TableShard* shard, int dim, int64_t width) {
   RangePredicate pred{dim, sdw::Datum::Int64(100),
                       sdw::Datum::Int64(100 + width - 1)};
-  shard->ResetCounters();
+  shard->DropDecodeCache();
+  const uint64_t before = benchutil::BlocksDecodedSoFar();
   for (const auto& range : shard->CandidateRanges({pred})) {
     SDW_CHECK(shard->ReadRange({dim}, range).ok());
   }
-  return shard->blocks_decoded();
+  return benchutil::BlocksDecodedSoFar() - before;
 }
 
 }  // namespace
@@ -139,11 +140,12 @@ int main() {
                       sdw::Datum::Int64(100 + kWidth - 1)};
     RangePredicate p2{d2, sdw::Datum::Int64(100),
                       sdw::Datum::Int64(100 + kWidth - 1)};
-    shard->ResetCounters();
+    shard->DropDecodeCache();
+    const uint64_t before = benchutil::BlocksDecodedSoFar();
     for (const auto& range : shard->CandidateRanges({p1, p2})) {
       SDW_CHECK(shard->ReadRange({d1}, range).ok());
     }
-    return shard->blocks_decoded();
+    return benchutil::BlocksDecodedSoFar() - before;
   };
   for (auto [d1, d2] : {std::pair{0, 1}, {1, 2}, {2, 3}}) {
     std::printf("%9sd%d&d%d  %12llu  %12llu\n", "", d1, d2,

@@ -149,46 +149,7 @@ int main() {
     benchutil::RealSpeedup("compiled scan-filter-agg", run(0), run(4));
   }
 
-  // Observability overhead: the same compiled scan with per-query trace
-  // spans on (the default) vs off. Registry counters are unconditional
-  // in both arms; the trace flag covers all per-query span bookkeeping.
-  std::printf("\nObservability overhead (4 slices, 4M rows, compiled):\n\n");
-  double obs_overhead = 0;
-  {
-    auto cluster = Build(4000000, /*slices=*/4);
-    sdw::plan::Planner planner(cluster->catalog());
-    auto physical = planner.Plan(Query());
-    SDW_CHECK(physical.ok());
-    auto run = [&](bool trace) {
-      sdw::cluster::ExecOptions opts;
-      opts.pool_size = 4;
-      opts.trace = trace;
-      QueryExecutor executor(cluster.get(), opts);
-      SDW_CHECK(executor.Execute(*physical).ok());  // warm checksums
-      double best = 0;
-      for (int trial = 0; trial < 3; ++trial) {
-        const double t = benchutil::TimeIt([&] {
-          for (int rep = 0; rep < 5; ++rep) {
-            SDW_CHECK(executor.Execute(*physical).ok());
-          }
-        });
-        best = trial == 0 ? t : std::min(best, t);
-      }
-      return best;
-    };
-    const double off = run(false);
-    const double on = run(true);
-    obs_overhead = off > 0 ? (on - off) / off : 0;
-    std::printf("  trace off %.3fs, trace on %.3fs -> %+.1f%% overhead\n",
-                off, on, obs_overhead * 100);
-    benchutil::JsonMetric("obs.trace_off_seconds", off);
-    benchutil::JsonMetric("obs.trace_on_seconds", on);
-    benchutil::JsonMetric("obs.overhead_fraction", obs_overhead);
-  }
-
   std::printf("\n");
-  benchutil::Check(obs_overhead <= 0.05,
-                   "trace spans add <=5% to the compiled hot path");
   benchutil::Check(speedup_at_max > 5,
                    "tight execution is >5x faster per row than the "
                    "general-purpose executor");

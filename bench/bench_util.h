@@ -2,11 +2,14 @@
 #define SDW_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
+
+#include "obs/registry.h"
 
 namespace benchutil {
 
@@ -82,6 +85,15 @@ inline double TimeIt(const std::function<void()>& fn) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Real block decodes so far, process-wide. Decoded blocks outlive
+/// queries, so a bench that counts the blocks a scan touches drops the
+/// shard's decode cache first and takes the difference across the scan.
+inline uint64_t BlocksDecodedSoFar() {
+  static sdw::obs::Counter* decoded =
+      sdw::obs::Registry::Global().counter("sdw_storage_blocks_decoded");
+  return decoded->value();
 }
 
 /// Prints a PASS/FAIL shape-check line (benches exit 0 either way so the

@@ -85,6 +85,13 @@ uint64_t ComputeNode::MaxHeadStamp(const std::string& table) const {
   return stamp;
 }
 
+void ComputeNode::DropDecodeCaches() {
+  common::MutexLock lock(mu_);
+  for (const auto& slice : slices_) {
+    for (const auto& [table, shard] : slice) shard->DropDecodeCache();
+  }
+}
+
 const storage::ShardRef* ReadSnapshot::Find(const std::string& table,
                                             int slice) const {
   auto it = tables.find(table);
@@ -186,7 +193,6 @@ Result<Bytes> Cluster::FaultRead(int node, storage::BlockId id) {
     node_read_failures_[node].fetch_add(1, std::memory_order_relaxed);
     auto replica = replication_->ReadReplicaExcluding(id, node);
     if (replica.ok()) {
-      masked_reads_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* masked =
           obs::Registry::Global().counter("sdw_cluster_masked_reads");
       masked->Add();
@@ -206,7 +212,6 @@ Result<Bytes> Cluster::FaultRead(int node, storage::BlockId id) {
   if (page_fault) {
     auto paged = page_fault(id);
     if (paged.ok()) {
-      s3_fault_reads_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* s3_faults =
           obs::Registry::Global().counter("sdw_cluster_s3_fault_reads");
       s3_faults->Add();
@@ -222,6 +227,7 @@ Result<Bytes> Cluster::FaultRead(int node, storage::BlockId id) {
 
 void Cluster::FailNode(int node) {
   SDW_CHECK(node >= 0 && node < num_nodes());
+  nodes_[node]->DropDecodeCaches();
   if (replication_) {
     replication_->FailNode(node);
     return;

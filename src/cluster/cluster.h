@@ -81,6 +81,12 @@ class ComputeNode {
   /// it has none), read in place: no pin, no shared_ptr copy.
   uint64_t MaxHeadStamp(const std::string& table) const SDW_EXCLUDES(mu_);
 
+  /// Makes every shard on this node forget its decoded blocks (the node
+  /// died: its memory is gone). Sets each shard's drop flag under mu_
+  /// only, so a fault trigger may call it from inside a block read that
+  /// holds a shard's cache_mu_ (ranked below mu_).
+  void DropDecodeCaches() SDW_EXCLUDES(mu_);
+
  private:
   int node_id_;
   storage::StorageOptions options_;
@@ -305,9 +311,6 @@ class Cluster {
   uint64_t network_bytes() const {
     return network_bytes_.load(std::memory_order_relaxed);
   }
-  void ResetNetworkBytes() {
-    network_bytes_.store(0, std::memory_order_relaxed);
-  }
 
   /// Total encoded bytes stored across the cluster.
   uint64_t TotalStoredBytes() const;
@@ -327,20 +330,14 @@ class Cluster {
   void set_page_fault_handler(storage::BlockStore::FaultHandler handler)
       SDW_EXCLUDES(mu_);
 
-  /// Simulates whole-node loss: all the node's blocks vanish and the
-  /// node is marked failed for replication. Queries keep working
-  /// through masked reads; the warehouse health sweep recovers it.
+  /// Simulates whole-node loss: all the node's blocks vanish, its
+  /// decode caches are dropped and the node is marked failed for
+  /// replication. Queries keep working through masked reads (counted
+  /// per query on the span tree, process-wide by
+  /// sdw_cluster_masked_reads / _s3_fault_reads); the warehouse health
+  /// sweep recovers it. Safe to call from a read-fault trigger.
   void FailNode(int node);
 
-  /// Reads served from a secondary replica after a local media failure
-  /// (the §2.1 read path customers never notice).
-  uint64_t masked_reads() const {
-    return masked_reads_.load(std::memory_order_relaxed);
-  }
-  /// Reads that fell through to the page-fault (S3) path.
-  uint64_t s3_fault_reads() const {
-    return s3_fault_reads_.load(std::memory_order_relaxed);
-  }
   /// Local read failures observed on a node since the last reset — the
   /// health signal the warehouse sweep thresholds on.
   uint64_t node_read_failures(int node) const {
@@ -391,8 +388,6 @@ class Cluster {
   std::vector<DroppedShard> dropped_ SDW_GUARDED_BY(mu_);
   std::atomic<bool> read_only_{false};
   std::atomic<uint64_t> network_bytes_{0};
-  std::atomic<uint64_t> masked_reads_{0};
-  std::atomic<uint64_t> s3_fault_reads_{0};
   std::vector<std::atomic<uint64_t>> node_read_failures_;
 };
 

@@ -14,13 +14,13 @@ namespace sdw::cluster {
 namespace {
 
 /// Builds the scan (+ residual filter) operator for one slice over the
-/// statement's pinned snapshot. `telemetry` (when non-null) receives
-/// this slice's scan counts; a CountRows cap above the filter records
-/// the post-filter cardinality.
+/// statement's pinned snapshot. `telemetry` receives this slice's scan
+/// counts; a CountRows cap above the filter records the post-filter
+/// cardinality.
 Result<exec::OperatorPtr> BuildScan(const ReadSnapshot& snapshot, int slice,
                                     const plan::ScanSpec& spec,
-                                    exec::ScanTelemetry* telemetry = nullptr,
-                                    obs::QueryProgress* progress = nullptr) {
+                                    exec::ScanTelemetry* telemetry,
+                                    obs::QueryProgress* progress) {
   const storage::ShardRef* ref = snapshot.Find(spec.table, slice);
   if (ref == nullptr) {
     return Status::NotFound("no shard for table '" + spec.table + "'");
@@ -33,10 +33,7 @@ Result<exec::OperatorPtr> BuildScan(const ReadSnapshot& snapshot, int slice,
   if (spec.filter) {
     op = exec::Filter(std::move(op), spec.filter);
   }
-  if (telemetry != nullptr) {
-    op = exec::CountRows(std::move(op), &telemetry->rows_out);
-  }
-  return op;
+  return exec::CountRows(std::move(op), &telemetry->rows_out);
 }
 
 /// Canonical text of a scan's pushed-down range predicates plus its
@@ -68,23 +65,61 @@ std::string RenderPredicates(Cluster* cluster, const plan::ScanSpec& spec) {
   return out;
 }
 
-/// Sums one scan site's per-slice telemetry into a ScanProfile on
+/// Sums one scan site's per-slice telemetry into a ScanRecord on
 /// ExecStats (leader thread, after the site's fan-out joined).
-void AddScanProfile(ExecStats* stats, Cluster* cluster, const char* site,
-                    const plan::ScanSpec& spec,
-                    const std::vector<exec::ScanTelemetry>& slices) {
-  ScanProfile profile;
-  profile.site = site;
-  profile.table = spec.table;
-  profile.predicates = RenderPredicates(cluster, spec);
+void AddScanRecord(ExecStats* stats, Cluster* cluster, const char* site,
+                   const plan::ScanSpec& spec,
+                   const std::vector<exec::ScanTelemetry>& slices) {
+  obs::ScanRecord scan;
+  scan.site = site;
+  scan.table = spec.table;
+  scan.predicates = RenderPredicates(cluster, spec);
   for (const exec::ScanTelemetry& t : slices) {
-    profile.rows_scanned += t.rows_scanned;
-    profile.rows_out += t.rows_out;
-    profile.blocks_read += t.blocks_read;
-    profile.blocks_skipped += t.blocks_skipped;
-    profile.bytes_decoded += t.bytes_decoded;
+    scan.rows_scanned += t.rows_scanned;
+    scan.rows_out += t.rows_out;
+    scan.blocks_read += t.blocks_read;
+    scan.blocks_skipped += t.blocks_skipped;
+    scan.bytes_decoded += t.bytes_decoded;
   }
-  stats->scans.push_back(std::move(profile));
+  stats->scans.push_back(std::move(scan));
+}
+
+/// Reads a finished query's counters off its span tree, the one
+/// per-query ledger: every number was written once, into the span of
+/// the work that produced it. Per-slice spans carry their slice's
+/// seconds, "finalize" the leader's seconds and the result rows, and
+/// the rest are sums over every span (bytes_shuffled is the network
+/// traffic: broadcasts, shuffles and returns to the leader).
+void ReadStatsOffTrace(const obs::Trace& trace, int slices, ExecStats* stats) {
+  stats->slice_seconds.assign(slices, 0.0);
+  obs::SpanCounters total;
+  for (const obs::Span& span : trace.spans()) {
+    total += span.counters;
+    if (span.slice >= 0) stats->slice_seconds[span.slice] += span.real_seconds;
+    if (span.name == "finalize") {
+      stats->leader_seconds = span.real_seconds;
+      stats->result_rows = span.counters.rows_out;
+    } else if (span.name == "compile" || span.name == "compile (cached)") {
+      stats->compile_seconds = span.real_seconds;
+    }
+  }
+  stats->network_bytes = total.bytes_shuffled;
+  stats->blocks_decoded = total.blocks_decoded;
+  stats->masked_reads = total.masked_reads;
+  stats->s3_fault_reads = total.s3_fault_reads;
+}
+
+/// One child span per slice under `parent`, created on the leader
+/// thread before a fan-out: each task then writes only its own span
+/// (the trace's deque keeps the pointers stable).
+std::vector<obs::Span*> AddSliceSpans(obs::Trace* trace,
+                                      const obs::Span* parent,
+                                      const char* name, int slices) {
+  std::vector<obs::Span*> spans(slices);
+  for (int s = 0; s < slices; ++s) {
+    spans[s] = trace->AddSpan(name, parent->span_id, 0, s);
+  }
+  return spans;
 }
 
 /// Number of slices that scan `table` (ALL tables are scanned on a
@@ -109,28 +144,6 @@ Result<std::vector<TypeId>> ScanOutputTypes(Cluster* cluster,
   return types;
 }
 
-uint64_t SumBlocksDecoded(Cluster* cluster) {
-  uint64_t total = 0;
-  for (const std::string& table : cluster->catalog()->TableNames()) {
-    for (int s = 0; s < cluster->total_slices(); ++s) {
-      // shard_ref: holding the shared_ptr keeps the shard alive even if
-      // a concurrent DROP gets it garbage-collected mid-iteration.
-      auto shard = cluster->shard_ref(s, table);
-      if (shard.ok()) total += (*shard)->blocks_decoded();
-    }
-  }
-  return total;
-}
-
-void ResetBlockCounters(Cluster* cluster) {
-  for (const std::string& table : cluster->catalog()->TableNames()) {
-    for (int s = 0; s < cluster->total_slices(); ++s) {
-      auto shard = cluster->shard_ref(s, table);
-      if (shard.ok()) (*shard)->ResetCounters();
-    }
-  }
-}
-
 /// Deep-copies a batch (broadcast copies per slice).
 exec::Batch CopyBatch(const exec::Batch& batch) {
   exec::Batch out = exec::MakeBatch(batch.Types());
@@ -149,13 +162,13 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
   const int slices = cluster_->total_slices();
   SDW_ASSIGN_OR_RETURN(int probe_slices,
                        ScanSliceCount(cluster_, query.scan.table));
-  stats->slice_seconds.assign(slices, 0.0);
   obs::QueryProgress* progress = options_.progress;
 
   // --- Pre-passes for join strategies that move data. ---
-  // Each pre-pass fans its per-slice scans out on the pool; every task
-  // writes only its own pre-sized slot (seconds, bytes, partitions) and
-  // the aggregation into stats happens after the join, so Result<>
+  // Each pre-pass fans its per-slice scans out on the pool. Spans are
+  // created on the leader thread before the fan-out; each task writes
+  // only its own span and its own pre-sized slots (partitions, scan
+  // telemetry), and the leader gathers after the join, so Result<>
   // semantics and accounting are identical to a serial run.
   exec::Batch broadcast_build;
   std::vector<TypeId> build_types;
@@ -172,57 +185,34 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
       SDW_ASSIGN_OR_RETURN(build_types,
                            ScanOutputTypes(cluster_, join.build));
       std::vector<exec::Batch> parts(build_slices);
-      std::vector<double> part_seconds(build_slices, 0.0);
-      // Per-slice telemetry slots, like part_seconds: each worker fills
-      // only its own, the leader sums after the join.
-      std::vector<exec::ScanTelemetry> btel;
-      if (options_.scan_telemetry) btel.assign(build_slices, {});
-      // Spans are created on the leader thread before the fan-out;
-      // workers only write their own span's counters (deque gives
-      // pointer stability), which keeps this TSan-clean.
-      obs::Span* bparent =
-          trace ? trace->AddSpan("broadcast", root->span_id, 1) : nullptr;
-      std::vector<obs::Span*> bspans(build_slices, nullptr);
-      if (trace) {
-        for (int s = 0; s < build_slices; ++s) {
-          bspans[s] = trace->AddSpan("broadcast scan", bparent->span_id, 0, s);
-        }
-      }
+      std::vector<exec::ScanTelemetry> btel(build_slices);
+      obs::Span* bparent = trace->AddSpan("broadcast", root->span_id, 1);
+      std::vector<obs::Span*> bspans =
+          AddSliceSpans(trace, bparent, "broadcast scan", build_slices);
       SDW_RETURN_IF_ERROR(pool()->ParallelFor(
           build_slices, [&](int s) -> Status {
             sim::Stopwatch timer;
             obs::ScopedSpan scoped(bspans[s]);
             SDW_ASSIGN_OR_RETURN(
                 exec::OperatorPtr op,
-                BuildScan(snapshot, s, join.build,
-                          btel.empty() ? nullptr : &btel[s], progress));
+                BuildScan(snapshot, s, join.build, &btel[s], progress));
             SDW_ASSIGN_OR_RETURN(parts[s], exec::Collect(op.get()));
-            part_seconds[s] = timer.Seconds();
-            if (bspans[s]) {
-              bspans[s]->counters.rows_out = parts[s].num_rows();
-              bspans[s]->real_seconds = part_seconds[s];
-            }
+            bspans[s]->counters.rows_out = parts[s].num_rows();
+            bspans[s]->real_seconds = timer.Seconds();
             return Status::OK();
           }));
-      if (!btel.empty()) {
-        AddScanProfile(stats, cluster_, "build", join.build, btel);
-      }
+      AddScanRecord(stats, cluster_, "build", join.build, btel);
       exec::Batch collected = exec::MakeBatch(build_types);
       for (int s = 0; s < build_slices; ++s) {
-        stats->slice_seconds[s] += part_seconds[s];
         for (size_t c = 0; c < collected.columns.size(); ++c) {
           SDW_RETURN_IF_ERROR(collected.columns[c].AppendRange(
               parts[s].columns[c], 0, parts[s].columns[c].size()));
         }
       }
       // Broadcast: one copy to every other node.
-      const uint64_t bytes = EstimateBytes(collected.columns);
-      stats->network_bytes +=
-          bytes * static_cast<uint64_t>(cluster_->num_nodes() - 1);
-      if (bparent) {
-        bparent->counters.bytes_shuffled =
-            bytes * static_cast<uint64_t>(cluster_->num_nodes() - 1);
-      }
+      bparent->counters.bytes_shuffled =
+          EstimateBytes(collected.columns) *
+          static_cast<uint64_t>(cluster_->num_nodes() - 1);
       broadcast_build = std::move(collected);
     } else if (join.strategy == plan::JoinStrategy::kShuffle) {
       // Re-hash both sides on the join key across all slices.
@@ -239,26 +229,17 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
         // from catalog types up front, so a side that scans zero
         // batches still produces (empty) buckets for every target.
         std::vector<std::vector<exec::Batch>> local(side_slices);
-        std::vector<double> secs(side_slices, 0.0);
-        std::vector<uint64_t> net(side_slices, 0);
-        std::vector<exec::ScanTelemetry> stel;
-        if (options_.scan_telemetry) stel.assign(side_slices, {});
-        obs::Span* sparent =
-            trace ? trace->AddSpan(label, root->span_id, 1) : nullptr;
-        std::vector<obs::Span*> sspans(side_slices, nullptr);
-        if (trace) {
-          for (int s = 0; s < side_slices; ++s) {
-            sspans[s] = trace->AddSpan("shuffle scan", sparent->span_id, 0, s);
-          }
-        }
+        std::vector<exec::ScanTelemetry> stel(side_slices);
+        std::vector<obs::Span*> sspans =
+            AddSliceSpans(trace, trace->AddSpan(label, root->span_id, 1),
+                          "shuffle scan", side_slices);
         SDW_RETURN_IF_ERROR(pool()->ParallelFor(
             side_slices, [&](int s) -> Status {
               sim::Stopwatch timer;
               obs::ScopedSpan scoped(sspans[s]);
               SDW_ASSIGN_OR_RETURN(
                   exec::OperatorPtr op,
-                  BuildScan(snapshot, s, spec,
-                            stel.empty() ? nullptr : &stel[s], progress));
+                  BuildScan(snapshot, s, spec, &stel[s], progress));
               std::vector<exec::Batch>& mine = local[s];
               mine.reserve(slices);
               for (int t = 0; t < slices; ++t) {
@@ -295,25 +276,20 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
               const int src_node = cluster_->NodeOfSlice(s)->node_id();
               for (int t = 0; t < slices; ++t) {
                 if (cluster_->NodeOfSlice(t)->node_id() != src_node) {
-                  net[s] += EstimateBytes(mine[t].columns);
+                  sspans[s]->counters.bytes_shuffled +=
+                      EstimateBytes(mine[t].columns);
                 }
               }
-              secs[s] = timer.Seconds();
-              if (sspans[s]) {
-                sspans[s]->counters.rows_out = rows_routed;
-                sspans[s]->counters.bytes_shuffled = net[s];
-                sspans[s]->real_seconds = secs[s];
-              }
+              sspans[s]->counters.rows_out = rows_routed;
+              sspans[s]->real_seconds = timer.Seconds();
               return Status::OK();
             }));
-        if (!stel.empty()) AddScanProfile(stats, cluster_, site, spec, stel);
+        AddScanRecord(stats, cluster_, site, spec, stel);
         buckets->clear();
         for (int t = 0; t < slices; ++t) {
           buckets->push_back(exec::MakeBatch(types));
         }
         for (int s = 0; s < side_slices; ++s) {
-          stats->slice_seconds[s] += secs[s];
-          stats->network_bytes += net[s];
           for (int t = 0; t < slices; ++t) {
             for (size_t c = 0; c < (*buckets)[t].columns.size(); ++c) {
               SDW_RETURN_IF_ERROR((*buckets)[t].columns[c].AppendRange(
@@ -334,8 +310,6 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
   const int pipeline_slices = use_buckets ? slices : probe_slices;
   if (progress != nullptr) progress->set_slices_total(pipeline_slices);
   std::vector<exec::Batch> outputs(pipeline_slices);
-  std::vector<double> secs(pipeline_slices, 0.0);
-  std::vector<uint64_t> net(pipeline_slices, 0);
   // kShuffle pipelines read the shuffle buckets (already profiled by
   // the pre-pass); only direct shard scans get telemetry slots here.
   std::vector<exec::ScanTelemetry> ptel;
@@ -343,18 +317,13 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
   const bool colocated_build =
       !use_buckets && query.join.has_value() &&
       query.join->strategy == plan::JoinStrategy::kCoLocated;
-  if (options_.scan_telemetry && !use_buckets) {
+  if (!use_buckets) {
     ptel.assign(pipeline_slices, {});
     if (colocated_build) ctel.assign(pipeline_slices, {});
   }
-  obs::Span* pparent =
-      trace ? trace->AddSpan("pipeline", root->span_id, 2) : nullptr;
-  std::vector<obs::Span*> pspans(pipeline_slices, nullptr);
-  if (trace) {
-    for (int s = 0; s < pipeline_slices; ++s) {
-      pspans[s] = trace->AddSpan("slice pipeline", pparent->span_id, 0, s);
-    }
-  }
+  std::vector<obs::Span*> pspans =
+      AddSliceSpans(trace, trace->AddSpan("pipeline", root->span_id, 2),
+                    "slice pipeline", pipeline_slices);
   SDW_RETURN_IF_ERROR(pool()->ParallelFor(
       pipeline_slices, [&](int s) -> Status {
         sim::Stopwatch timer;
@@ -375,8 +344,7 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
                                     query.join->build_keys);
         } else {
           SDW_ASSIGN_OR_RETURN(
-              pipeline, BuildScan(snapshot, s, query.scan,
-                                  ptel.empty() ? nullptr : &ptel[s], progress));
+              pipeline, BuildScan(snapshot, s, query.scan, &ptel[s], progress));
           if (query.join.has_value()) {
             const plan::JoinSpec& join = *query.join;
             exec::OperatorPtr build;
@@ -385,10 +353,8 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
               one.push_back(CopyBatch(broadcast_build));
               build = exec::MemoryScan(build_types, std::move(one));
             } else {  // co-located
-              SDW_ASSIGN_OR_RETURN(
-                  build,
-                  BuildScan(snapshot, s, join.build,
-                            ctel.empty() ? nullptr : &ctel[s], progress));
+              SDW_ASSIGN_OR_RETURN(build, BuildScan(snapshot, s, join.build,
+                                                    &ctel[s], progress));
             }
             pipeline = exec::HashJoin(std::move(pipeline), std::move(build),
                                       join.probe_keys, join.build_keys);
@@ -400,33 +366,25 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlices(
                                          exec::AggMode::kPartial);
         }
         SDW_ASSIGN_OR_RETURN(outputs[s], exec::Collect(pipeline.get()));
-        secs[s] = timer.Seconds();
+        pspans[s]->real_seconds = timer.Seconds();
+        pspans[s]->counters.rows_out = outputs[s].num_rows();
         // Intermediate results stream back to the leader.
-        net[s] = EstimateBytes(outputs[s].columns);
-        if (pspans[s]) {
-          pspans[s]->counters.rows_out = outputs[s].num_rows();
-          pspans[s]->counters.bytes_shuffled = net[s];
-          pspans[s]->real_seconds = secs[s];
-        }
+        pspans[s]->counters.bytes_shuffled = EstimateBytes(outputs[s].columns);
         if (progress != nullptr) progress->SliceDone();
         return Status::OK();
       }));
   if (!ptel.empty()) {
-    AddScanProfile(stats, cluster_, "probe", query.scan, ptel);
+    AddScanRecord(stats, cluster_, "probe", query.scan, ptel);
   }
   if (!ctel.empty()) {
-    AddScanProfile(stats, cluster_, "build", query.join->build, ctel);
-  }
-  for (int s = 0; s < pipeline_slices; ++s) {
-    stats->slice_seconds[s] += secs[s];
-    stats->network_bytes += net[s];
+    AddScanRecord(stats, cluster_, "build", query.join->build, ctel);
   }
   return outputs;
 }
 
 Result<std::vector<exec::Batch>> QueryExecutor::RunSlicesInterpreted(
     const plan::PhysicalQuery& query, const ReadSnapshot& snapshot,
-    ExecStats* stats, obs::Trace* trace, obs::Span* root) {
+    obs::Trace* trace, obs::Span* root) {
   if (query.join.has_value()) {
     return Status::NotSupported(
         "interpreted mode supports scan/filter/aggregate pipelines");
@@ -442,7 +400,6 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlicesInterpreted(
   }
   SDW_ASSIGN_OR_RETURN(int probe_slices,
                        ScanSliceCount(cluster_, query.scan.table));
-  stats->slice_seconds.assign(cluster_->total_slices(), 0.0);
   SDW_ASSIGN_OR_RETURN(TableSchema schema,
                        cluster_->catalog()->GetTable(query.scan.table));
   // Pipeline output types (must match the compiled path's layout).
@@ -475,23 +432,17 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlicesInterpreted(
     out_types = scan_types;
   }
 
-  // Interpreted mode keeps live slice progress but records no scan
-  // profiles: RowScan has no zone-map/block accounting (stl_scan only
-  // covers the compiled production path).
+  // Interpreted mode keeps live slice progress and charges each slice
+  // span the blocks its full scan needs, but records no scan sites:
+  // RowScan has no zone maps (stl_scan only covers the compiled
+  // production path).
   if (options_.progress != nullptr) {
     options_.progress->set_slices_total(probe_slices);
   }
   std::vector<exec::Batch> outputs(probe_slices);
-  std::vector<double> secs(probe_slices, 0.0);
-  std::vector<uint64_t> net(probe_slices, 0);
-  obs::Span* pparent =
-      trace ? trace->AddSpan("pipeline", root->span_id, 2) : nullptr;
-  std::vector<obs::Span*> pspans(probe_slices, nullptr);
-  if (trace) {
-    for (int s = 0; s < probe_slices; ++s) {
-      pspans[s] = trace->AddSpan("slice pipeline", pparent->span_id, 0, s);
-    }
-  }
+  std::vector<obs::Span*> pspans =
+      AddSliceSpans(trace, trace->AddSpan("pipeline", root->span_id, 2),
+                    "slice pipeline", probe_slices);
   SDW_RETURN_IF_ERROR(pool()->ParallelFor(probe_slices, [&](int s) -> Status {
     sim::Stopwatch timer;
     obs::ScopedSpan scoped(pspans[s]);
@@ -508,20 +459,12 @@ Result<std::vector<exec::Batch>> QueryExecutor::RunSlicesInterpreted(
                                 query.agg->aggs);
     }
     SDW_ASSIGN_OR_RETURN(outputs[s], exec::CollectRows(pipe.get(), out_types));
-    secs[s] = timer.Seconds();
-    net[s] = EstimateBytes(outputs[s].columns);
-    if (pspans[s]) {
-      pspans[s]->counters.rows_out = outputs[s].num_rows();
-      pspans[s]->counters.bytes_shuffled = net[s];
-      pspans[s]->real_seconds = secs[s];
-    }
+    pspans[s]->real_seconds = timer.Seconds();
+    pspans[s]->counters.rows_out = outputs[s].num_rows();
+    pspans[s]->counters.bytes_shuffled = EstimateBytes(outputs[s].columns);
     if (options_.progress != nullptr) options_.progress->SliceDone();
     return Status::OK();
   }));
-  for (int s = 0; s < probe_slices; ++s) {
-    stats->slice_seconds[s] += secs[s];
-    stats->network_bytes += net[s];
-  }
   return outputs;
 }
 
@@ -531,13 +474,9 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
   if (options_.progress != nullptr) {
     options_.progress->set_phase(obs::QueryPhase::kExec);
   }
-  obs::Trace* trace = nullptr;
-  obs::Span* root = nullptr;
-  if (options_.trace) {
-    result.trace = std::make_shared<obs::Trace>();
-    trace = result.trace.get();
-    root = trace->AddSpan("query", -1, 0);
-  }
+  result.trace = std::make_shared<obs::Trace>();
+  obs::Trace* trace = result.trace.get();
+  obs::Span* root = trace->AddSpan("query", -1, 0);
   // Pin the statement's snapshot if the caller (the warehouse) did not
   // hand one in: one consistent version per table across all slices.
   std::shared_ptr<const ReadSnapshot> snapshot = options_.snapshot;
@@ -548,22 +487,12 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     SDW_RETURN_IF_ERROR(cluster_->PinTables(tables, pinned.get()));
     snapshot = std::move(pinned);
   }
-  ResetBlockCounters(cluster_);
-  // Masking counters are cumulative and cluster-wide, so the delta
-  // double-counts when two executors interleave on one cluster. It is
-  // only the fallback for untraced runs; traced runs report per-query
-  // span sums instead.
-  const uint64_t masked_before = cluster_->masked_reads();
-  const uint64_t s3_faults_before = cluster_->s3_fault_reads();
   if (options_.mode == ExecutionMode::kCompiled) {
-    stats.compile_seconds =
+    obs::Span* compile = trace->AddSpan(
+        options_.segment_cache_hit ? "compile (cached)" : "compile",
+        root->span_id, 0);
+    compile->real_seconds =
         options_.segment_cache_hit ? 0.0 : options_.compile_seconds;
-    if (trace) {
-      obs::Span* compile = trace->AddSpan(
-          options_.segment_cache_hit ? "compile (cached)" : "compile",
-          root->span_id, 0);
-      compile->real_seconds = stats.compile_seconds;
-    }
   }
 
   std::vector<exec::Batch> slice_outputs;
@@ -571,9 +500,8 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     SDW_ASSIGN_OR_RETURN(slice_outputs,
                          RunSlices(query, *snapshot, &stats, trace, root));
   } else {
-    SDW_ASSIGN_OR_RETURN(
-        slice_outputs,
-        RunSlicesInterpreted(query, *snapshot, &stats, trace, root));
+    SDW_ASSIGN_OR_RETURN(slice_outputs,
+                         RunSlicesInterpreted(query, *snapshot, trace, root));
   }
 
   // --- Leader finalization. ---
@@ -581,8 +509,7 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     options_.progress->set_phase(obs::QueryPhase::kFinalize);
   }
   sim::Stopwatch leader_timer;
-  obs::Span* finalize =
-      trace ? trace->AddSpan("finalize", root->span_id, 3) : nullptr;
+  obs::Span* finalize = trace->AddSpan("finalize", root->span_id, 3);
   obs::ScopedSpan finalize_scope(finalize);
   std::vector<TypeId> types;
   for (const auto& b : slice_outputs) {
@@ -613,23 +540,11 @@ Result<QueryResult> QueryExecutor::Execute(const plan::PhysicalQuery& query) {
     leader = exec::Limit(std::move(leader), *query.limit);
   }
   SDW_ASSIGN_OR_RETURN(result.rows, exec::Collect(leader.get()));
-  stats.leader_seconds = leader_timer.Seconds();
-  stats.result_rows = result.rows.num_rows();
-  if (trace) {
-    finalize->counters.rows_out = result.rows.num_rows();
-    finalize->real_seconds = stats.leader_seconds;
-    // Per-query counters from the span tree: work done by other
-    // executors on the same cluster never leaks in here.
-    obs::SpanCounters total;
-    for (const auto& sp : trace->spans()) total += sp.counters;
-    stats.blocks_decoded = total.blocks_decoded;
-    stats.masked_reads = total.masked_reads;
-    stats.s3_fault_reads = total.s3_fault_reads;
-  } else {
-    stats.blocks_decoded = SumBlocksDecoded(cluster_);
-    stats.masked_reads = cluster_->masked_reads() - masked_before;
-    stats.s3_fault_reads = cluster_->s3_fault_reads() - s3_faults_before;
-  }
+  finalize->real_seconds = leader_timer.Seconds();
+  finalize->counters.rows_out = result.rows.num_rows();
+  // Work done by other executors on the same cluster never leaks in:
+  // every counter was charged to a span of this query's tree.
+  ReadStatsOffTrace(*trace, cluster_->total_slices(), &stats);
   cluster_->AddNetworkBytes(stats.network_bytes);
   result.column_names = query.output_names;
   static obs::Counter* query_count =

@@ -32,10 +32,6 @@ struct ExecOptions {
   /// workers. Serial and parallel runs produce identical results and
   /// identical blocks_decoded counts.
   int pool_size = -1;
-  /// Record a per-query trace (span tree with deterministic virtual
-  /// timestamps) on QueryResult::trace. On by default; benches turn it
-  /// off to measure instrumentation overhead.
-  bool trace = true;
   /// The plan came from the warehouse's compiled-segment cache: the
   /// per-query compile_seconds charge is skipped (the segments already
   /// exist) and the trace records a zero-cost "compile (cached)" span.
@@ -45,31 +41,15 @@ struct ExecOptions {
   /// the current version of the query's tables itself, so even direct
   /// executor users get one consistent version across all slices.
   std::shared_ptr<const ReadSnapshot> snapshot;
-  /// Record per-scan-site telemetry (ExecStats::scans → stl_scan). On
-  /// by default; the bench's baseline arm turns the whole workload-
-  /// intelligence layer off to measure its overhead.
-  bool scan_telemetry = true;
   /// Live progress counters for stv_inflight (owned by the warehouse's
   /// in-flight registry); null when nobody is watching.
   obs::QueryProgress* progress = nullptr;
 };
 
-/// Telemetry for one scan site of the plan, summed over its slices —
-/// the raw material for stl_scan. All fields are deterministic
-/// (metadata-derived counts, canonical predicate text), so serial and
-/// pooled runs produce identical profiles.
-struct ScanProfile {
-  std::string site;  // "probe" | "build"
-  std::string table;
-  std::string predicates;  // canonical text; empty for a full scan
-  uint64_t rows_scanned = 0;
-  uint64_t rows_out = 0;
-  uint64_t blocks_read = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t bytes_decoded = 0;
-};
-
-/// Per-query execution telemetry.
+/// Per-query execution telemetry. Execute reads every field but `scans`
+/// off the query's span tree, where each number was written once by
+/// the work that produced it, so concurrent queries on one cluster
+/// never see each other's work.
 struct ExecStats {
   /// Measured CPU seconds per slice (in a real cluster each slice runs
   /// on its own core, so modeled wall clock takes the max).
@@ -78,7 +58,11 @@ struct ExecStats {
   double leader_seconds = 0;
   /// Bytes that crossed node boundaries for this query.
   uint64_t network_bytes = 0;
-  /// Blocks decoded across all shards (zone-map effectiveness).
+  /// Blocks the query's scans need: per projected column, the blocks
+  /// overlapping a zone-map candidate range, counted from chain
+  /// metadata (zone-map effectiveness). Whether a decode cache already
+  /// holds them does not change it; sdw_storage_blocks_decoded counts
+  /// the real decodes process-wide.
   uint64_t blocks_decoded = 0;
   /// Rows returned to the client.
   uint64_t result_rows = 0;
@@ -91,10 +75,12 @@ struct ExecStats {
   /// Block reads that fell through to the S3 page-fault path (§2.3
   /// streaming restore / both copies gone).
   uint64_t s3_fault_reads = 0;
-  /// Per-scan-site telemetry in deterministic plan order (build
-  /// pre-passes before pipeline scans). Empty when
-  /// ExecOptions::scan_telemetry is off or in interpreted mode.
-  std::vector<ScanProfile> scans;
+  /// Per-scan-site telemetry summed over the site's slices, in
+  /// deterministic plan order (build pre-passes before pipeline scans)
+  /// — the raw material for stl_scan. Metadata-derived counts and
+  /// canonical predicate text, so serial and pooled runs agree; the
+  /// warehouse fills in query_id. Empty in interpreted mode.
+  std::vector<obs::ScanRecord> scans;
 
   double MaxSliceSeconds() const {
     double m = 0;
@@ -117,14 +103,14 @@ struct ExecStats {
   }
 };
 
-/// A completed query: rows, names, stats, and (when enabled) the trace.
+/// A completed query: rows, names, stats, and the trace they came from.
 struct QueryResult {
   exec::Batch rows;
   std::vector<std::string> column_names;
   ExecStats stats;
-  /// Span tree recorded during execution; null when ExecOptions::trace
-  /// is off. Virtual timestamps are assigned later, by the warehouse's
-  /// QueryLog (they need the warehouse clock).
+  /// Span tree recorded during execution (never null). Virtual
+  /// timestamps are assigned later, by the warehouse's QueryLog (they
+  /// need the warehouse clock).
   std::shared_ptr<obs::Trace> trace;
 };
 
@@ -151,8 +137,8 @@ class QueryExecutor {
   }
 
   /// Builds the per-slice pipeline output batches for every slice,
-  /// scanning the pinned `snapshot`. `trace`/`root` may be null
-  /// (tracing disabled).
+  /// scanning the pinned `snapshot`. Records its spans under `root` and
+  /// its scan sites on `stats->scans`.
   Result<std::vector<exec::Batch>> RunSlices(const plan::PhysicalQuery& query,
                                              const ReadSnapshot& snapshot,
                                              ExecStats* stats,
@@ -162,7 +148,7 @@ class QueryExecutor {
   /// kInterpreted per-slice pipeline (scan/filter/agg only).
   Result<std::vector<exec::Batch>> RunSlicesInterpreted(
       const plan::PhysicalQuery& query, const ReadSnapshot& snapshot,
-      ExecStats* stats, obs::Trace* trace, obs::Span* root);
+      obs::Trace* trace, obs::Span* root);
 
   Cluster* cluster_;
   ExecOptions options_;

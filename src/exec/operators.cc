@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/profiler.h"
+#include "obs/trace.h"
 
 namespace sdw::exec {
 
@@ -58,7 +59,17 @@ class ShardScanOp : public Operator {
         columns_(std::move(columns)),
         options_(options),
         ranges_(ref_.shard->CandidateRanges(*ref_.version, predicates)) {
-    if (options_.telemetry != nullptr) RecordStaticTelemetry();
+    const ScanTelemetry counts = StaticCounts();
+    // The query's ledger counts the blocks this scan needs, once, into
+    // the span of the slice that builds it.
+    if (obs::SpanCounters* span = obs::CurrentSpanCounters()) {
+      span->blocks_decoded += counts.blocks_read;
+    }
+    if (options_.telemetry != nullptr) {
+      options_.telemetry->blocks_read += counts.blocks_read;
+      options_.telemetry->blocks_skipped += counts.blocks_skipped;
+      options_.telemetry->bytes_decoded += counts.bytes_decoded;
+    }
   }
 
   std::vector<TypeId> OutputTypes() const override {
@@ -103,9 +114,13 @@ class ShardScanOp : public Operator {
   // candidate range (they will be decoded) vs the rest (zone-map
   // skipped). Pure metadata walk over the immutable version — the same
   // numbers on every run, whatever the decode cache holds.
-  void RecordStaticTelemetry() {
-    ScanTelemetry* t = options_.telemetry;
+  ScanTelemetry StaticCounts() const {
+    ScanTelemetry t;
     for (int c : columns_) {
+      // A bad index fails in ReadRange; it needs no blocks.
+      if (c < 0 || static_cast<size_t>(c) >= ref_.version->chains.size()) {
+        continue;
+      }
       const auto& chain = ref_.version->chains[c];
       size_t range_index = 0;
       for (const storage::BlockMeta& block : chain) {
@@ -117,13 +132,14 @@ class ShardScanOp : public Operator {
         const bool overlaps = range_index < ranges_.size() &&
                               ranges_[range_index].begin < block_end;
         if (overlaps) {
-          t->blocks_read++;
-          t->bytes_decoded += block.encoded_bytes;
+          t.blocks_read++;
+          t.bytes_decoded += block.encoded_bytes;
         } else {
-          t->blocks_skipped++;
+          t.blocks_skipped++;
         }
       }
     }
+    return t;
   }
 
   storage::ShardRef ref_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/hll.h"
+#include "obs/trace.h"
 
 namespace sdw::exec {
 
@@ -13,7 +14,17 @@ namespace {
 class RowScanOp : public RowOperator {
  public:
   RowScanOp(storage::ShardRef ref, std::vector<int> columns)
-      : ref_(std::move(ref)), columns_(std::move(columns)) {}
+      : ref_(std::move(ref)), columns_(std::move(columns)) {
+    // A full scan needs every block of each projected chain; the query
+    // ledger counts them once, into the span of the slice building it.
+    if (obs::SpanCounters* span = obs::CurrentSpanCounters()) {
+      for (int c : columns_) {
+        if (c >= 0 && static_cast<size_t>(c) < ref_.version->chains.size()) {
+          span->blocks_decoded += ref_.version->chains[c].size();
+        }
+      }
+    }
+  }
 
   Result<std::optional<Row>> Next() override {
     if (row_in_batch_ >= batch_.num_rows()) {

@@ -108,9 +108,7 @@ Result<KeyHierarchy> KeyHierarchy::Create(MasterKeyProvider* provider,
 Key256 KeyHierarchy::GenerateKey() { return KeyFromRng(&rng_); }
 
 Result<Key256> KeyHierarchy::UnwrapClusterKey() {
-  if (repudiated_) {
-    return Status::FailedPrecondition("cluster keys repudiated");
-  }
+  if (repudiated_) return RepudiatedStatus();
   SDW_ASSIGN_OR_RETURN(Key256 master, provider_->GetMasterKey());
   return UnwrapKey(master, cluster_key_nonce_, wrapped_cluster_key_);
 }

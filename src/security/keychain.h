@@ -93,6 +93,18 @@ class KeyHierarchy {
   /// block permanently undecryptable.
   void Repudiate();
 
+  /// True once Repudiate ran. Decoded blocks and cached results outlive
+  /// the keys in memory, so the warehouse front door checks this too.
+  bool repudiated() const SDW_EXCLUDES(mu_) {
+    common::MutexLock lock(mu_);
+    return repudiated_;
+  }
+
+  /// What every decryption fails with after Repudiate.
+  static Status RepudiatedStatus() {
+    return Status::FailedPrecondition("cluster keys repudiated");
+  }
+
   size_t num_block_keys() const SDW_EXCLUDES(mu_) {
     common::MutexLock lock(mu_);
     return wrapped_block_keys_.size();

@@ -101,7 +101,6 @@ Status BlockStore::PutRaw(BlockId id, Bytes stored) {
 }
 
 Result<Bytes> BlockStore::GetRaw(BlockId id) {
-  reads_.fetch_add(1, std::memory_order_relaxed);
   ReadsMetric()->Add();
   // Chaos first: a firing read point turns this call into a local media
   // failure even if the block is resident, so masking is exercised end
@@ -127,8 +126,6 @@ Result<Bytes> BlockStore::GetRaw(BlockId id) {
         if (stored.verified ||
             Crc32c(stored.data.data(), stored.data.size()) == stored.crc) {
           stored.verified = true;
-          read_bytes_.fetch_add(stored.data.size(),
-                                std::memory_order_relaxed);
           ReadBytesMetric()->Add(stored.data.size());
           return stored.data;
         }
@@ -168,7 +165,6 @@ Result<Bytes> BlockStore::GetRaw(BlockId id) {
     common::MutexLock lock(mu_);
     if (fetched.ok()) {
       const Bytes& data = *fetched;
-      read_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
       ReadBytesMetric()->Add(data.size());
       // Page the block back in (stored form) for future reads.
       if (!blocks_.count(id)) {
@@ -199,8 +195,6 @@ Result<Bytes> BlockStore::GetStored(BlockId id) {
     }
     stored.verified = true;
   }
-  reads_.fetch_add(1, std::memory_order_relaxed);
-  read_bytes_.fetch_add(stored.data.size(), std::memory_order_relaxed);
   return stored.data;
 }
 

@@ -144,16 +144,9 @@ class BlockStore {
     common::MutexLock lock(mu_);
     return total_bytes_;
   }
-  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
-  uint64_t read_bytes() const {
-    return read_bytes_.load(std::memory_order_relaxed);
-  }
+  /// Fault-ins this store has led (reads and read bytes are counted
+  /// process-wide by sdw_storage_block_reads / _read_bytes).
   uint64_t faults() const { return faults_.load(std::memory_order_relaxed); }
-  void ResetCounters() {
-    reads_.store(0, std::memory_order_relaxed);
-    read_bytes_.store(0, std::memory_order_relaxed);
-    faults_.store(0, std::memory_order_relaxed);
-  }
 
  private:
   struct Stored {
@@ -181,7 +174,7 @@ class BlockStore {
 
   /// One node's slices scan through the same device concurrently, so
   /// the block map (and the verified-flag mutation inside it) sits
-  /// behind a lock; the hot counters are relaxed atomics. The fault
+  /// behind a lock; the fault counter is a relaxed atomic. The fault
   /// handler and the put observer are invoked outside the lock — both
   /// may reach other BlockStores, and holding our lock across that
   /// would order locks between stores (ABBA deadlock). Operations copy
@@ -190,8 +183,6 @@ class BlockStore {
   std::map<BlockId, Stored> blocks_ SDW_GUARDED_BY(mu_);
   std::map<BlockId, std::shared_ptr<Inflight>> inflight_ SDW_GUARDED_BY(mu_);
   uint64_t total_bytes_ SDW_GUARDED_BY(mu_) = 0;
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> read_bytes_{0};
   std::atomic<uint64_t> faults_{0};
   FaultHandler fault_handler_ SDW_GUARDED_BY(mu_);
   PutObserver put_observer_ SDW_GUARDED_BY(mu_);

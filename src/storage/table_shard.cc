@@ -6,7 +6,6 @@
 
 #include "compress/codec.h"
 #include "obs/registry.h"
-#include "obs/trace.h"
 
 namespace sdw::storage {
 
@@ -299,19 +298,22 @@ Result<std::vector<ColumnVector>> TableShard::ReadAll(
 Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
     const BlockMeta& meta, TypeId type) {
   common::MutexLock lock(cache_mu_);
+  if (drop_cache_.load(std::memory_order_relaxed) &&
+      drop_cache_.exchange(false, std::memory_order_acq_rel)) {
+    decode_cache_.clear();
+    cache_order_.clear();
+  }
   auto it = decode_cache_.find(meta.id);
   if (it != decode_cache_.end()) return it->second;
   SDW_ASSIGN_OR_RETURN(Bytes data, store_->Get(meta.id));
   SDW_ASSIGN_OR_RETURN(ColumnVector decoded,
                        compress::DecodeColumn(meta.encoding, type, data));
-  blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
+  // Process-wide count of real decodes. Queries count the blocks they
+  // need from chain metadata instead (exec::ShardScan), so their
+  // per-query numbers do not depend on what this cache holds.
   static obs::Counter* decoded_metric =
       obs::Registry::Global().counter("sdw_storage_blocks_decoded");
   decoded_metric->Add();
-  // Attribute the decode to the executing slice's trace span, if any.
-  if (obs::SpanCounters* span = obs::CurrentSpanCounters()) {
-    ++span->blocks_decoded;
-  }
   auto shared = std::make_shared<const ColumnVector>(std::move(decoded));
   // FIFO eviction keeps memory bounded even for huge scans.
   constexpr size_t kCacheCapacity = 64;

@@ -236,18 +236,13 @@ class TableShard {
   /// Every block id reachable from the current head.
   std::vector<BlockId> AllBlockIds() const;
 
-  /// Blocks decoded by ReadRange since the last ResetCounters (the
-  /// block-skipping bench's measured quantity). Cached decodes do not
-  /// count; ResetCounters also drops the cache so measurements start
-  /// cold.
-  uint64_t blocks_decoded() const {
-    return blocks_decoded_.load(std::memory_order_relaxed);
-  }
-  void ResetCounters() SDW_EXCLUDES(cache_mu_) {
-    common::MutexLock lock(cache_mu_);
-    blocks_decoded_.store(0, std::memory_order_relaxed);
-    decode_cache_.clear();
-    cache_order_.clear();
+  /// Forgets every decoded block: the next read of each block goes to
+  /// the store again (a dead node's memory is gone). Only raises a flag,
+  /// which the next DecodeBlock acts on under cache_mu_ — so it is safe
+  /// to call from inside a block read, where a fault trigger may kill
+  /// the node while this shard's cache_mu_ is held.
+  void DropDecodeCache() {
+    drop_cache_.store(true, std::memory_order_release);
   }
 
  private:
@@ -296,14 +291,16 @@ class TableShard {
   std::atomic<uint64_t> head_stamp_{0};
 
   /// The decode cache and its FIFO order are the only shard state
-  /// mutated by reads, so they carry the shard's read-path lock.
-  /// Holding the lock across the whole decode (including the store
-  /// Get) keeps blocks_decoded_ deterministic under concurrency (no
-  /// double-decode of a racing miss); slices do not contend because
-  /// each slice owns its own shard. Lock order is strictly cache_mu_ ->
-  /// store mu_ (BlockStore never calls back into shards), so the
-  /// nesting cannot invert.
-  std::atomic<uint64_t> blocks_decoded_{0};
+  /// mutated by reads, so they carry the shard's read-path lock. Block
+  /// ids are process-unique and blocks immutable, so a cached decode is
+  /// never stale and the cache lives across queries. Holding the lock
+  /// across the whole decode (including the store Get) makes racing
+  /// misses of one block share a single decode; slices do not contend
+  /// because each slice owns its own shard. Lock order is cache_mu_ ->
+  /// store mu_. The store reaches back into shards only through
+  /// DropDecodeCache (a fault trigger failing the node mid-read), which
+  /// touches the atomic flag below and never this lock.
+  std::atomic<bool> drop_cache_{false};
   mutable common::Mutex cache_mu_{common::LockRank::kShardDecodeCache};
   std::map<BlockId, std::shared_ptr<const ColumnVector>> decode_cache_
       SDW_GUARDED_BY(cache_mu_);

@@ -463,13 +463,13 @@ Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
 std::string RenderExplainAnalyze(const plan::PhysicalQuery& query,
                                  const cluster::QueryResult& result,
                                  const std::vector<obs::AlertEvent>& alerts) {
-  const obs::Trace* trace = result.trace.get();
+  const obs::Trace& trace = *result.trace;
   const cluster::ExecStats& stats = result.stats;
   auto fmt = [](uint64_t v) { return std::to_string(v); };
-  // Zone-map accounting per plan site, from the scan profiles the
+  // Zone-map accounting per plan site, from the scan records the
   // executor recorded (absent in interpreted mode).
   auto scan_line = [&](const char* site, const std::string& table) {
-    for (const cluster::ScanProfile& p : stats.scans) {
+    for (const obs::ScanRecord& p : stats.scans) {
       if (p.site != site || p.table != table) continue;
       return "\n     (blocks_read=" + fmt(p.blocks_read) +
              " blocks_skipped=" + fmt(p.blocks_skipped) +
@@ -500,29 +500,27 @@ std::string RenderExplainAnalyze(const plan::PhysicalQuery& query,
       out += " (build filter " + query.join->build.filter->ToString() + ")";
     }
     out += scan_line("build", query.join->build.table);
-    if (trace) {
-      if (query.join->strategy == plan::JoinStrategy::kBroadcastBuild) {
-        const obs::SpanCounters scans = trace->SumByName("broadcast scan");
-        const obs::SpanCounters bytes = trace->SumByName("broadcast");
-        out += "\n     (build rows=" + fmt(scans.rows_out) +
-               " broadcast_bytes=" + fmt(bytes.bytes_shuffled) + ")";
-      } else if (query.join->strategy == plan::JoinStrategy::kShuffle) {
-        // Probe and build shuffles both record "shuffle scan" children;
-        // tell them apart through their parent spans.
-        obs::SpanCounters probe, build;
-        for (const obs::Span& parent : trace->spans()) {
-          if (parent.name != "shuffle probe" && parent.name != "shuffle build")
-            continue;
-          for (const obs::Span& child : trace->spans()) {
-            if (child.parent_id != parent.span_id) continue;
-            (parent.name == "shuffle probe" ? probe : build) += child.counters;
-          }
+    if (query.join->strategy == plan::JoinStrategy::kBroadcastBuild) {
+      const obs::SpanCounters scans = trace.SumByName("broadcast scan");
+      const obs::SpanCounters bytes = trace.SumByName("broadcast");
+      out += "\n     (build rows=" + fmt(scans.rows_out) +
+             " broadcast_bytes=" + fmt(bytes.bytes_shuffled) + ")";
+    } else if (query.join->strategy == plan::JoinStrategy::kShuffle) {
+      // Probe and build shuffles both record "shuffle scan" children;
+      // tell them apart through their parent spans.
+      obs::SpanCounters probe, build;
+      for (const obs::Span& parent : trace.spans()) {
+        if (parent.name != "shuffle probe" && parent.name != "shuffle build")
+          continue;
+        for (const obs::Span& child : trace.spans()) {
+          if (child.parent_id != parent.span_id) continue;
+          (parent.name == "shuffle probe" ? probe : build) += child.counters;
         }
-        out += "\n     (probe rows=" + fmt(probe.rows_out) +
-               " bytes=" + fmt(probe.bytes_shuffled) +
-               "; build rows=" + fmt(build.rows_out) +
-               " bytes=" + fmt(build.bytes_shuffled) + ")";
       }
+      out += "\n     (probe rows=" + fmt(probe.rows_out) +
+             " bytes=" + fmt(probe.bytes_shuffled) +
+             "; build rows=" + fmt(build.rows_out) +
+             " bytes=" + fmt(build.bytes_shuffled) + ")";
     }
   }
 
@@ -531,11 +529,9 @@ std::string RenderExplainAnalyze(const plan::PhysicalQuery& query,
            std::to_string(query.agg->group_by.size()) + " keys, " +
            std::to_string(query.agg->aggs.size()) + " aggs) per slice";
   }
-  if (trace) {
-    const obs::SpanCounters pipe = trace->SumByName("slice pipeline");
-    out += "\n  -> Slice pipelines (rows_to_leader=" + fmt(pipe.rows_out) +
-           " bytes_to_leader=" + fmt(pipe.bytes_shuffled) + ")";
-  }
+  const obs::SpanCounters pipe = trace.SumByName("slice pipeline");
+  out += "\n  -> Slice pipelines (rows_to_leader=" + fmt(pipe.rows_out) +
+         " bytes_to_leader=" + fmt(pipe.bytes_shuffled) + ")";
   if (query.agg.has_value()) {
     out += "\n  -> Final HashAggregate at leader";
   }
@@ -550,12 +546,8 @@ std::string RenderExplainAnalyze(const plan::PhysicalQuery& query,
     out += "\n  -> Limit " + std::to_string(*query.limit);
   }
   out += "\n  -> Result (rows=" + fmt(stats.result_rows) +
-         " network_bytes=" + fmt(stats.network_bytes);
-  if (trace && trace->root() != nullptr) {
-    out += " elapsed_ticks=" +
-           fmt(trace->root()->end_tick - trace->root()->start_tick);
-  }
-  out += ")";
+         " network_bytes=" + fmt(stats.network_bytes) + " elapsed_ticks=" +
+         fmt(trace.root()->end_tick - trace.root()->start_tick) + ")";
   for (const obs::AlertEvent& a : alerts) {
     out += "\nAlert: " + a.rule;
     if (!a.table.empty()) out += " on " + a.table;

@@ -58,12 +58,11 @@ struct SystemTableSources {
 Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
                                              const SystemTableSources& sources);
 
-/// Renders the physical plan annotated with counters from the recorded
-/// trace (EXPLAIN ANALYZE). `trace` may be null (tracing disabled); the
-/// annotation then falls back to ExecStats totals only. Scan lines are
-/// further annotated with per-scan zone-map accounting (blocks read vs
-/// skipped) when the result carries ScanProfiles, and any performance
-/// alerts the query fired are appended at the end.
+/// Renders the physical plan annotated with counters from the query's
+/// span tree (EXPLAIN ANALYZE). Scan lines are further annotated with
+/// per-scan zone-map accounting (blocks read vs skipped) when the
+/// result carries scan records, and any performance alerts the query
+/// fired are appended at the end.
 std::string RenderExplainAnalyze(const plan::PhysicalQuery& query,
                                  const cluster::QueryResult& result,
                                  const std::vector<obs::AlertEvent>& alerts = {});

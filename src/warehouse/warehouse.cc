@@ -514,9 +514,17 @@ Result<StatementResult> Warehouse::Execute(const std::string& sql) {
   return ExecuteAs(sql, 0);
 }
 
+Status Warehouse::RefuseIfRepudiated() const {
+  if (keys_ != nullptr && keys_->repudiated()) {
+    return security::KeyHierarchy::RepudiatedStatus();
+  }
+  return Status::OK();
+}
+
 Result<StatementResult> Warehouse::ExecuteQuery(
     const plan::LogicalQuery& query) {
   SDW_RETURN_IF_ERROR(crash_.Down());
+  SDW_RETURN_IF_ERROR(RefuseIfRepudiated());
   return RunSelect(query, /*explain=*/false, /*explain_analyze=*/false,
                    plan::CanonicalText(query), /*session_id=*/0,
                    /*user_group=*/"");
@@ -571,9 +579,13 @@ Result<StatementResult> Warehouse::ExecuteAs(const std::string& sql,
       result.message = std::to_string(result.rows.num_rows()) + " rows";
       return result;
     }
+    // Before the result cache: a repeated SELECT must not be answered
+    // from memory after the keys are gone.
+    SDW_RETURN_IF_ERROR(RefuseIfRepudiated());
     return RunSelect(select->query, select->explain, select->explain_analyze,
                      sql, session_id, user_group);
   }
+  SDW_RETURN_IF_ERROR(RefuseIfRepudiated());
   return RunStatement(std::move(stmt), sql, session_id, user_group);
 }
 
@@ -722,7 +734,6 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   cluster::ExecOptions exec_options = options_.exec;
   exec_options.segment_cache_hit = segment_hit;
   exec_options.snapshot = pin.snapshot;
-  exec_options.scan_telemetry = options_.workload_intelligence;
   exec_options.progress = ticket ? ticket.progress() : nullptr;
   cluster::QueryExecutor executor(pin.cluster.get(), exec_options);
   Result<cluster::QueryResult> executed = executor.Execute(*physical);
@@ -740,16 +751,12 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   record.counters.bytes_shuffled = query_result.stats.network_bytes;
   record.counters.masked_reads = query_result.stats.masked_reads;
   record.counters.s3_fault_reads = query_result.stats.s3_fault_reads;
-  if (query_result.trace != nullptr &&
-      query_result.trace->root() != nullptr) {
-    // The admission wait precedes everything the executor recorded:
-    // stage -1 lays out before compile/pipelines. One deterministic
-    // tick — the real queue time is wall clock and belongs to stl_wlm,
-    // never to the virtual timeline.
-    query_result.trace->AddSpan("wlm admit",
-                                query_result.trace->root()->span_id,
-                                /*stage=*/-1);
-  }
+  // The admission wait precedes everything the executor recorded:
+  // stage -1 lays out before compile/pipelines. One deterministic tick
+  // — the real queue time is wall clock and belongs to stl_wlm, never
+  // to the virtual timeline.
+  query_result.trace->AddSpan("wlm admit", query_result.trace->root()->span_id,
+                              /*stage=*/-1);
   record.trace = query_result.trace;
   record.exec_seconds = exec_timer.Seconds();
   const double queue_seconds = record.queue_seconds;
@@ -765,21 +772,8 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   // pooled runs log byte-identical alert histories.
   std::vector<obs::AlertEvent> fired;
   if (options_.workload_intelligence) {
-    std::vector<obs::ScanRecord> scans;
-    scans.reserve(query_result.stats.scans.size());
-    for (const cluster::ScanProfile& profile : query_result.stats.scans) {
-      obs::ScanRecord scan;
-      scan.query_id = started.query_id;
-      scan.table = profile.table;
-      scan.site = profile.site;
-      scan.predicates = profile.predicates;
-      scan.rows_scanned = profile.rows_scanned;
-      scan.rows_out = profile.rows_out;
-      scan.blocks_read = profile.blocks_read;
-      scan.blocks_skipped = profile.blocks_skipped;
-      scan.bytes_decoded = profile.bytes_decoded;
-      scans.push_back(std::move(scan));
-    }
+    std::vector<obs::ScanRecord> scans = query_result.stats.scans;
+    for (obs::ScanRecord& scan : scans) scan.query_id = started.query_id;
     obs::QueryAlertInputs inputs;
     inputs.query_id = started.query_id;
     inputs.tick = end_tick;

@@ -315,6 +315,12 @@ class Warehouse {
   Result<StatementResult> ExecuteAs(const std::string& sql, int session_id,
                                     const std::string& user_group = "");
 
+  /// Repudiation makes the data unreadable, including what memory still
+  /// holds (decoded blocks, cached results): once the keys are gone the
+  /// front door refuses every statement but system-table reads, with
+  /// the status a block decryption would return.
+  Status RefuseIfRepudiated() const;
+
   /// A user-table SELECT (or EXPLAIN [ANALYZE]) through admission and
   /// the caches; executes against a pinned MVCC snapshot, off every
   /// warehouse lock.

@@ -326,9 +326,9 @@ TEST(BackupTest, S3CopyMasksLocalMediaFailure) {
     node->store()->DropForTest(id);
   }
   // Without the S3 leg, reads fail (drop the decode cache first: the
-  // cache is per-scan warm state, not a durability mechanism).
-  (*c->shard(0, "events"))->ResetCounters();
-  (*c->shard(1, "events"))->ResetCounters();
+  // cache is warm state, not a durability mechanism).
+  (*c->shard(0, "events"))->DropDecodeCache();
+  (*c->shard(1, "events"))->DropDecodeCache();
   EXPECT_FALSE((*c->shard(0, "events"))->ReadAll({0}).ok());
 
   // With it, the failure is transparent.

@@ -6,6 +6,7 @@
 #include "cluster/executor.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "obs/registry.h"
 #include "plan/planner.h"
 
 namespace sdw::cluster {
@@ -429,13 +430,17 @@ TEST(ClusterTest, VacuumRestoresSortOrderAcrossRuns) {
   auto* shard = *cluster.shard(0, "fact");
   storage::RangePredicate pred{1, Datum::Int64(5), Datum::Int64(5)};
 
+  // Real decodes (process-wide counter) from a cold decode cache.
+  obs::Counter* decoded =
+      obs::Registry::Global().counter("sdw_storage_blocks_decoded");
   auto count_decodes = [&] {
     shard = *cluster.shard(0, "fact");
-    shard->ResetCounters();
+    shard->DropDecodeCache();
+    const uint64_t before = decoded->value();
     for (const auto& range : shard->CandidateRanges({pred})) {
       SDW_CHECK(shard->ReadRange({1}, range).ok());
     }
-    return shard->blocks_decoded();
+    return decoded->value() - before;
   };
   const uint64_t fragmented = count_decodes();
   const uint64_t rows_before = *cluster.TotalRows("fact");

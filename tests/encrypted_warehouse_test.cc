@@ -138,6 +138,29 @@ TEST_F(EncryptedWarehouseTest, VacuumRewritesUnderEncryption) {
   EXPECT_EQ(Count(), before);
 }
 
+// Repudiation (cryptographic erasure) makes the data unreadable, also
+// what memory still holds: decoded blocks survive across queries and a
+// repeated SELECT would be a result-cache hit, so the front door
+// refuses every statement but system-table reads.
+TEST_F(EncryptedWarehouseTest, RepudiationRefusesReadsServedFromMemory) {
+  const std::string sql = "SELECT payload FROM secrets WHERE id = 7";
+  ASSERT_EQ(Must(sql).rows.num_rows(), 1u);
+  ASSERT_TRUE(Must(sql).from_result_cache);
+  wh_->keys()->Repudiate();
+
+  // (i) A different SELECT over blocks already decoded in memory.
+  auto other = wh_->Execute("SELECT COUNT(*) AS n FROM secrets");
+  EXPECT_EQ(other.status().code(), StatusCode::kFailedPrecondition)
+      << other.status();
+  // (ii) The same SELECT, whose answer sits in the result cache.
+  auto repeated = wh_->Execute(sql);
+  EXPECT_EQ(repeated.status().code(), StatusCode::kFailedPrecondition)
+      << repeated.status();
+  EXPECT_FALSE(wh_->Execute("INSERT INTO secrets VALUES (1, 'x')").ok());
+  // Monitoring keeps working.
+  EXPECT_TRUE(wh_->Execute("SELECT query_id FROM stl_query").ok());
+}
+
 TEST(EncryptionOffTest, RotationRequiresTheCheckbox) {
   WarehouseOptions options;
   options.cluster.num_nodes = 1;

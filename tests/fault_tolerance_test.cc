@@ -215,6 +215,9 @@ TEST_F(FaultWarehouseTest, NodeDiesMidQueryMaskedThenRecovered) {
   // The first read node 0 serves during the query takes the whole node
   // down: every local block vanishes and the node is marked failed.
   point->ArmTrigger(1, [&] { wh.data_plane()->FailNode(0); });
+  // Decoded blocks live across queries; start node 0 cold so the query
+  // reads its device and the armed read fires.
+  wh.data_plane()->node(0)->DropDecodeCaches();
 
   StatementResult after = MustRun(&wh, kQuery);
   EXPECT_EQ(after.ToTable(100000), baseline)
@@ -266,6 +269,9 @@ TEST_F(FaultWarehouseTest, FlakyNodeRestartsThenEscalates) {
   auto provoke_faults = [&] {
     storage::BlockStore* store = wh.data_plane()->node(1)->store();
     for (storage::BlockId id : store->ListIds()) store->DropForTest(id);
+    // Media loss alone leaves decoded blocks in memory: start node 1
+    // cold so the query reads (and fails on) its device.
+    wh.data_plane()->node(1)->DropDecodeCaches();
     MustRun(&wh, kQuery);
     ASSERT_GE(wh.data_plane()->node_read_failures(1), 3u);
   };

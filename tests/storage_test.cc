@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/random.h"
+#include "obs/registry.h"
 #include "storage/block_store.h"
 #include "storage/table_shard.h"
 #include "storage/zone_map.h"
@@ -318,16 +319,21 @@ TEST(TableShardTest, BlockSkippingReducesDecodes) {
   BlockStore store;
   TableShard shard(EventsSchema(), SmallBlocks(), &store);
   ASSERT_TRUE(shard.Append(MakeRun(0, 4000, 1)).ok());
-  shard.ResetCounters();
+  // Real decodes, process-wide; each read starts from a cold cache.
+  obs::Counter* decoded =
+      obs::Registry::Global().counter("sdw_storage_blocks_decoded");
+  shard.DropDecodeCache();
+  const uint64_t before_pruned = decoded->value();
   // Narrow predicate on the sorted column.
   RangePredicate pred{0, Datum::Int64(2000), Datum::Int64(2010)};
   for (const auto& range : shard.CandidateRanges({pred})) {
     ASSERT_TRUE(shard.ReadRange({0}, range).ok());
   }
-  uint64_t pruned_decodes = shard.blocks_decoded();
-  shard.ResetCounters();
+  uint64_t pruned_decodes = decoded->value() - before_pruned;
+  shard.DropDecodeCache();
+  const uint64_t before_full = decoded->value();
   ASSERT_TRUE(shard.ReadAll({0}).ok());
-  uint64_t full_decodes = shard.blocks_decoded();
+  uint64_t full_decodes = decoded->value() - before_full;
   EXPECT_LT(pruned_decodes * 4, full_decodes);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "obs/registry.h"
 #include "warehouse/warehouse.h"
 
 namespace sdw::warehouse {
@@ -169,6 +170,53 @@ TEST_F(WarehouseTest, BetweenPrunesBlocks) {
   EXPECT_LT(narrow.exec_stats.blocks_decoded * 3,
             full.exec_stats.blocks_decoded)
       << "BETWEEN must feed the zone maps";
+}
+
+// Decoded blocks survive from one query to the next: a repeated SELECT
+// decodes nothing new, while its per-query ledger still reports the
+// blocks its scans need, the same on every run and in every place.
+TEST(WarehouseLedgerTest, RepeatedSelectReusesDecodedBlocks) {
+  WarehouseOptions options = SmallOptions();
+  options.cache.enable_result_cache = false;  // execute every run
+  Warehouse wh(options);
+  ASSERT_TRUE(
+      wh.Execute("CREATE TABLE t (k BIGINT, v BIGINT) SORTKEY(v)").ok());
+  std::string insert = "INSERT INTO t VALUES (0, 0)";
+  for (int i = 1; i < 2000; ++i) {
+    insert += ", (" + std::to_string(i % 13) + ", " + std::to_string(i) + ")";
+  }
+  ASSERT_TRUE(wh.Execute(insert).ok());
+
+  obs::Counter* decoded =
+      obs::Registry::Global().counter("sdw_storage_blocks_decoded");
+  const std::string sql =
+      "SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t WHERE v >= 300 "
+      "GROUP BY k ORDER BY k";
+  std::vector<uint64_t> real_decodes;
+  for (int run = 0; run < 3; ++run) {
+    const uint64_t before = decoded->value();
+    auto r = wh.Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status();
+    real_decodes.push_back(decoded->value() - before);
+    ASSERT_EQ(r->rows.num_rows(), 13u);
+
+    uint64_t needed = 0;
+    for (const auto& scan : r->exec_stats.scans) {
+      needed += scan.blocks_read;
+    }
+    EXPECT_GT(needed, 0u);
+    EXPECT_EQ(r->exec_stats.blocks_decoded, needed) << "run " << run;
+    auto logged = wh.Execute(
+        "SELECT query_id, blocks_decoded FROM stl_query "
+        "ORDER BY query_id DESC LIMIT 1");
+    ASSERT_TRUE(logged.ok()) << logged.status();
+    ASSERT_EQ(logged->rows.num_rows(), 1u);
+    EXPECT_EQ(static_cast<uint64_t>(logged->rows.columns[1].IntAt(0)), needed)
+        << "run " << run;
+  }
+  EXPECT_GT(real_decodes[0], 0u) << "the first run starts cold";
+  EXPECT_EQ(real_decodes[1], 0u) << "repeat runs read the decode caches";
+  EXPECT_EQ(real_decodes[2], 0u);
 }
 
 TEST_F(WarehouseTest, VacuumAcceptedAndErrorsPropagate) {
