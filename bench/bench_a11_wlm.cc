@@ -43,11 +43,11 @@ RunStats RunMix(int slots, uint64_t seed) {
   RunStats stats;
   std::vector<double> latencies;
   for (const auto& r : wlm.reports()) {
-    const double latency = r.finished_at - r.submitted_at;
+    const double latency = r->finished_at - r->submitted_at;
     latencies.push_back(latency);
     stats.mean_latency += latency;
-    stats.mean_queue += r.queued_seconds;
-    stats.makespan = std::max(stats.makespan, r.finished_at);
+    stats.mean_queue += r->queued_seconds;
+    stats.makespan = std::max(stats.makespan, r->finished_at);
   }
   stats.mean_latency /= latencies.size();
   stats.mean_queue /= latencies.size();

@@ -27,7 +27,6 @@ WlmConfig SanitizeWlmConfig(WlmConfig config) {
                      << " is not serviceable; clamping to 1";
     config.concurrency_slots = 1;
   }
-  if (config.max_report_history < 1) config.max_report_history = 1;
   int share_sum = 0;
   bool has_default = false;
   for (WlmQueueConfig& queue : config.queues) {
@@ -293,16 +292,12 @@ void AdmissionController::Release(uint64_t ticket) {
   slot_free_.NotifyAll();
 }
 
-void AdmissionController::Record(Report report) {
-  common::MutexLock lock(mu_);
-  report.seq = next_seq_++;
-  reports_.push_back(std::move(report));
-  while (reports_.size() > config_.max_report_history) reports_.pop_front();
-}
-
 std::vector<AdmissionController::Report> AdmissionController::reports() const {
-  common::MutexLock lock(mu_);
-  return {reports_.begin(), reports_.end()};
+  const auto rows = reports_.Snapshot();
+  std::vector<Report> out;
+  out.reserve(rows.size());
+  for (const auto& report : rows) out.push_back(*report);
+  return out;
 }
 
 int AdmissionController::running() const {
@@ -389,10 +384,7 @@ void WorkloadManager::Admit() {
       report.queued_seconds = start - next.submitted_at;
       report.exec_seconds = effective;
       report.finished_at = engine_->Now();
-      reports_.push_back(report);
-      while (reports_.size() > config_.max_report_history) {
-        reports_.pop_front();
-      }
+      reports_.Append(report);
       if (next.done) next.done(report);
       --running_;
       Admit();

@@ -11,6 +11,7 @@
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
+#include "obs/history.h"
 #include "sim/engine.h"
 #include "sim/stopwatch.h"
 
@@ -53,9 +54,6 @@ struct WlmConfig {
   /// the queue names a hop target) or is cancelled with
   /// DeadlineExceeded; <= 0 waits forever.
   double queue_timeout_seconds = 60.0;
-  /// Completed-statement reports kept (ring buffer — stl_wlm must not
-  /// grow without bound across long runs).
-  size_t max_report_history = 1024;
   /// Named queues sharing concurrency_slots. Empty keeps the classic
   /// single "default" queue owning every slot. SanitizeWlmConfig
   /// guarantees a catch-all "default" queue exists and that the
@@ -109,8 +107,8 @@ struct AdmitRequest {
 /// cancelled with DeadlineExceeded. Short-query acceleration routes
 /// cheap statements through a dedicated fast lane and demotes
 /// misestimated overstayers back to their home queue. Completed
-/// statements are recorded in a bounded ring buffer surfaced through
-/// the stl_wlm system table.
+/// statements are recorded in a bounded history surfaced through the
+/// stl_wlm system table.
 class AdmissionController {
  public:
   explicit AdmissionController(WlmConfig config);
@@ -162,7 +160,7 @@ class AdmissionController {
   /// (admitted but failed), "timeout" (cancelled in the queue) or
   /// "result_cache" (served from the result cache, no slot occupied).
   struct Report {
-    uint64_t seq = 0;  // assigned by Record, monotonically increasing
+    uint64_t seq = 0;  // assigned by Record: 1, 2, ... in record order
     int session_id = 0;
     std::string state;
     /// Queue the statement was finally admitted from ("sqa" for the
@@ -173,6 +171,11 @@ class AdmissionController {
     double exec_seconds = 0;
     /// Timeout hops endured while queued.
     int hops = 0;
+
+    size_t history_bytes() const {
+      return sizeof(*this) + state.size() + queue.size() + statement.size();
+    }
+    void set_history_id(uint64_t id) { seq = id; }
   };
 
   /// Blocks until this caller reaches the head of its classified
@@ -183,12 +186,15 @@ class AdmissionController {
   Result<Slot> Admit(const AdmitRequest& request,
                      Report* timeout_report = nullptr) SDW_EXCLUDES(mu_);
 
-  /// Appends a completed-statement report to the ring buffer (assigns
-  /// `seq`; the oldest rows fall off past max_report_history).
-  void Record(Report report) SDW_EXCLUDES(mu_);
+  /// Appends a completed-statement report to the history (assigns
+  /// `seq`; the oldest rows drop past obs::kHistoryBytes). Takes no
+  /// admission lock.
+  void Record(Report report) { reports_.Append(std::move(report)); }
 
-  /// Snapshot of the report ring, oldest first.
-  std::vector<Report> reports() const SDW_EXCLUDES(mu_);
+  /// The kept reports, oldest first: stl_wlm.
+  const obs::History<Report>& report_history() const { return reports_; }
+  /// A copy of the kept reports, oldest first.
+  std::vector<Report> reports() const;
 
   /// Statements currently holding a slot / waiting, over all queues.
   int running() const SDW_EXCLUDES(mu_);
@@ -261,8 +267,7 @@ class AdmissionController {
   uint64_t timeouts_ SDW_GUARDED_BY(mu_) = 0;
   uint64_t hops_ SDW_GUARDED_BY(mu_) = 0;
   uint64_t sqa_demotions_ SDW_GUARDED_BY(mu_) = 0;
-  uint64_t next_seq_ SDW_GUARDED_BY(mu_) = 0;
-  std::deque<Report> reports_ SDW_GUARDED_BY(mu_);
+  obs::History<Report> reports_;
 };
 
 /// Admission control for concurrent queries, simulated on the
@@ -277,6 +282,8 @@ class WorkloadManager {
     double queued_seconds = 0;
     double exec_seconds = 0;
     double finished_at = 0;
+
+    size_t history_bytes() const { return sizeof(*this); }
   };
 
   /// Submits a query whose un-contended execution takes `service_seconds`.
@@ -288,9 +295,11 @@ class WorkloadManager {
   int running() const { return running_; }
   size_t queued() const { return queue_.size(); }
 
-  /// The most recent completed-query reports, in completion order
-  /// (bounded by WlmConfig::max_report_history).
-  const std::deque<QueryReport>& reports() const { return reports_; }
+  /// The most recent completed-query reports (the newest
+  /// obs::kHistoryBytes of them), in completion order.
+  obs::History<QueryReport>::Rows reports() const {
+    return reports_.Snapshot();
+  }
 
  private:
   void Admit();
@@ -305,7 +314,7 @@ class WorkloadManager {
   WlmConfig config_;
   int running_ = 0;
   std::vector<Pending> queue_;
-  std::deque<QueryReport> reports_;
+  obs::History<QueryReport> reports_;
 };
 
 }  // namespace sdw::cluster

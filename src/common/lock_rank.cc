@@ -96,11 +96,7 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kS3Region: return "kS3Region";
     case LockRank::kKeychain: return "kKeychain";
     case LockRank::kWlmAdmission: return "kWlmAdmission";
-    case LockRank::kQueryLog: return "kQueryLog";
-    case LockRank::kEventLog: return "kEventLog";
-    case LockRank::kScanLog: return "kScanLog";
-    case LockRank::kAlertLog: return "kAlertLog";
-    case LockRank::kGaugeHistory: return "kGaugeHistory";
+    case LockRank::kHistory: return "kHistory";
     case LockRank::kInflightRegistry: return "kInflightRegistry";
     case LockRank::kPoolJoin: return "kPoolJoin";
     case LockRank::kThreadPool: return "kThreadPool";

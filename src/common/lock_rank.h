@@ -49,11 +49,7 @@ enum class LockRank : int {
 
   // ---- serving-side bookkeeping (taken under any warehouse lock) ----
   kWlmAdmission = 700,      // cluster::AdmissionController::mu_
-  kQueryLog = 710,          // obs::QueryLog::mu_
-  kEventLog = 715,          // obs::EventLog::mu_
-  kScanLog = 720,           // obs::ScanLog::mu_
-  kAlertLog = 725,          // obs::AlertLog::mu_
-  kGaugeHistory = 730,      // obs::GaugeHistory::mu_
+  kHistory = 710,           // obs::History<Row>::mu_ (every history)
   kInflightRegistry = 735,  // obs::InflightRegistry::mu_
 
   // ---- leaves ----

@@ -25,7 +25,9 @@ void WarmPool::Refill(sim::Engine* engine) {
 void ControlPlane::Emit(const std::string& kind, double seconds,
                         const std::string& detail) {
   if (event_log_ == nullptr) return;
-  event_log_->Record("control_plane", kind, -1, seconds, detail);
+  event_log_->Append(obs::HealthEvent{
+      .source = "control_plane", .kind = kind, .value = seconds,
+      .detail = detail});
 }
 
 double ControlPlane::ParallelNodes(int nodes, double per_node) {

@@ -109,7 +109,7 @@ class ControlPlane {
 
   /// Attaches an event log (optional): every workflow records an
   /// stl_health_events row with its simulated duration.
-  void set_event_log(obs::EventLog* log) { event_log_ = log; }
+  void set_event_log(obs::History<obs::HealthEvent>* log) { event_log_ = log; }
 
   /// Creates an n-node cluster: provisioning is node-parallel; warm
   /// nodes attach ~6x faster than cold EC2 provisioning.
@@ -150,7 +150,7 @@ class ControlPlane {
   WorkflowTimings timings_;
   cluster::CostModel cost_model_;
   WarmPool* warm_pool_ = nullptr;
-  obs::EventLog* event_log_ = nullptr;
+  obs::History<obs::HealthEvent>* event_log_ = nullptr;
 };
 
 /// Per-node host manager: monitors the database process and restarts it

@@ -5,25 +5,6 @@
 
 namespace sdw::obs {
 
-void AlertLog::Record(std::vector<AlertEvent> events) {
-  common::MutexLock lock(mu_);
-  for (AlertEvent& e : events) {
-    e.alert_id = next_alert_id_++;
-    events_.push_back(std::move(e));
-  }
-}
-
-std::vector<AlertEvent> AlertLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return events_;
-}
-
-void AlertLog::Clear() {
-  common::MutexLock lock(mu_);
-  events_.clear();
-  next_alert_id_ = 1;
-}
-
 namespace {
 
 std::string Fmt(const char* fmt, ...) {

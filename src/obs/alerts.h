@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "obs/profiler.h"
 
 namespace sdw::obs {
@@ -24,19 +23,12 @@ struct AlertEvent {
   double evidence = 0;
   std::string detail;
   std::string action;
-};
 
-/// Append-only alert history. Thread-safe.
-class AlertLog {
- public:
-  void Record(std::vector<AlertEvent> events) SDW_EXCLUDES(mu_);
-  std::vector<AlertEvent> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kAlertLog};
-  int next_alert_id_ SDW_GUARDED_BY(mu_) = 1;
-  std::vector<AlertEvent> events_ SDW_GUARDED_BY(mu_);
+  size_t history_bytes() const {
+    return sizeof(*this) + rule.size() + table.size() + detail.size() +
+           action.size();
+  }
+  void set_history_id(uint64_t id) { alert_id = static_cast<int>(id); }
 };
 
 /// Everything the per-query rules look at, gathered at query finish.

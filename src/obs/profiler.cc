@@ -4,38 +4,6 @@
 
 namespace sdw::obs {
 
-void ScanLog::Append(std::vector<ScanRecord> records) {
-  common::MutexLock lock(mu_);
-  for (ScanRecord& r : records) {
-    r.scan_id = next_scan_id_++;
-    TableHeat& heat = heat_[r.table];
-    heat.scans++;
-    heat.rows_scanned += r.rows_scanned;
-    heat.rows_out += r.rows_out;
-    heat.blocks_read += r.blocks_read;
-    heat.blocks_skipped += r.blocks_skipped;
-    heat.bytes_decoded += r.bytes_decoded;
-    records_.push_back(std::move(r));
-  }
-}
-
-std::vector<ScanRecord> ScanLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return records_;
-}
-
-std::map<std::string, TableHeat> ScanLog::Heat() const {
-  common::MutexLock lock(mu_);
-  return heat_;
-}
-
-void ScanLog::Clear() {
-  common::MutexLock lock(mu_);
-  records_.clear();
-  heat_.clear();
-  next_scan_id_ = 1;
-}
-
 const char* QueryPhaseName(QueryPhase phase) {
   switch (phase) {
     case QueryPhase::kQueued:
@@ -131,24 +99,6 @@ std::vector<InflightEntry> InflightRegistry::Snapshot() const {
     out.push_back(std::move(e));
   }
   return out;
-}
-
-void GaugeHistory::Record(GaugeSample sample) {
-  common::MutexLock lock(mu_);
-  sample.seq = next_seq_++;
-  ring_.push_back(sample);
-  while (ring_.size() > capacity_) ring_.pop_front();
-}
-
-std::vector<GaugeSample> GaugeHistory::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
-void GaugeHistory::Clear() {
-  common::MutexLock lock(mu_);
-  ring_.clear();
-  next_seq_ = 1;
 }
 
 }  // namespace sdw::obs

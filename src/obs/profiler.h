@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,36 +34,11 @@ struct ScanRecord {
   uint64_t blocks_read = 0;    // blocks overlapping a candidate range
   uint64_t blocks_skipped = 0; // blocks pruned by zone maps
   uint64_t bytes_decoded = 0;  // encoded bytes of the blocks read
-};
 
-/// Per-table aggregate of the scan history — the in-memory "block heat"
-/// summary the reclustering roadmap item mines.
-struct TableHeat {
-  uint64_t scans = 0;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_out = 0;
-  uint64_t blocks_read = 0;
-  uint64_t blocks_skipped = 0;
-  uint64_t bytes_decoded = 0;
-};
-
-/// Append-only scan history plus the per-table heat map. Thread-safe:
-/// queries finishing on concurrent sessions append batches atomically.
-class ScanLog {
- public:
-  /// Appends the records in order, assigning contiguous scan_ids and
-  /// folding each into its table's heat entry.
-  void Append(std::vector<ScanRecord> records) SDW_EXCLUDES(mu_);
-
-  std::vector<ScanRecord> Snapshot() const SDW_EXCLUDES(mu_);
-  std::map<std::string, TableHeat> Heat() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kScanLog};
-  int next_scan_id_ SDW_GUARDED_BY(mu_) = 1;
-  std::vector<ScanRecord> records_ SDW_GUARDED_BY(mu_);
-  std::map<std::string, TableHeat> heat_ SDW_GUARDED_BY(mu_);
+  size_t history_bytes() const {
+    return sizeof(*this) + table.size() + site.size() + predicates.size();
+  }
+  void set_history_id(uint64_t id) { scan_id = static_cast<int>(id); }
 };
 
 // ---------------------------------------------------------------------------
@@ -199,6 +172,7 @@ struct GaugeSample {
   int wlm_queued = 0;
   int wlm_running = 0;
   int wlm_max_in_flight = 0;
+  /// Hits over lookups of this warehouse's own caches since it started.
   double result_cache_hit_rate = 0;
   double segment_cache_hit_rate = 0;
   uint64_t gc_backlog = 0;       // MVCC versions awaiting collection
@@ -211,23 +185,13 @@ struct GaugeSample {
     int max_in_flight = 0;
   };
   std::vector<QueueGauge> queues;
-};
 
-/// Fixed-capacity ring of gauge samples; the oldest sample falls off
-/// once the ring is full. Thread-safe.
-class GaugeHistory {
- public:
-  explicit GaugeHistory(size_t capacity = 256) : capacity_(capacity) {}
-
-  void Record(GaugeSample sample) SDW_EXCLUDES(mu_);
-  std::vector<GaugeSample> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  const size_t capacity_;
-  mutable common::Mutex mu_{common::LockRank::kGaugeHistory};
-  int next_seq_ SDW_GUARDED_BY(mu_) = 1;
-  std::deque<GaugeSample> ring_ SDW_GUARDED_BY(mu_);
+  size_t history_bytes() const {
+    size_t bytes = sizeof(*this);
+    for (const QueueGauge& q : queues) bytes += sizeof(q) + q.name.size();
+    return bytes;
+  }
+  void set_history_id(uint64_t id) { seq = static_cast<int>(id); }
 };
 
 }  // namespace sdw::obs

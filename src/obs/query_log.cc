@@ -2,66 +2,33 @@
 
 namespace sdw::obs {
 
+size_t QueryRecord::history_bytes() const {
+  size_t bytes =
+      sizeof(*this) + sql_text.size() + status.size() + snapshot.size();
+  if (trace) {
+    bytes += sizeof(Trace);
+    for (const Span& s : trace->spans()) bytes += sizeof(Span) + s.name.size();
+  }
+  return bytes;
+}
+
 QueryLog::Started QueryLog::StartQuery() {
-  common::MutexLock lock(mu_);
-  return {next_query_id_++, clock_};
+  return {next_query_id_.fetch_add(1), clock_.load()};
 }
 
 uint64_t QueryLog::FinishQuery(QueryRecord record) {
-  common::MutexLock lock(mu_);
   if (record.trace) {
     record.trace->AssignVirtualTimes(record.start_tick);
     record.end_tick = record.trace->end_tick();
   } else {
     record.end_tick = record.start_tick + 1;
   }
-  clock_ = std::max(clock_, record.end_tick);
-  uint64_t end_tick = record.end_tick;
-  records_.push_back(std::move(record));
+  const uint64_t end_tick = record.end_tick;
+  uint64_t clock = clock_.load();
+  while (clock < end_tick && !clock_.compare_exchange_weak(clock, end_tick)) {
+  }
+  history_.Append(std::move(record));
   return end_tick;
-}
-
-std::vector<QueryRecord> QueryLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return records_;
-}
-
-uint64_t QueryLog::now() const {
-  common::MutexLock lock(mu_);
-  return clock_;
-}
-
-void QueryLog::Clear() {
-  common::MutexLock lock(mu_);
-  records_.clear();
-  next_query_id_ = 1;
-  clock_ = 0;
-}
-
-void EventLog::Record(const std::string& source, const std::string& kind,
-                      int node, double value, const std::string& detail) {
-  common::MutexLock lock(mu_);
-  HealthEvent e;
-  e.event_id = next_event_id_++;
-  e.tick = tick_++;
-  e.source = source;
-  e.kind = kind;
-  e.node = node;
-  e.value = value;
-  e.detail = detail;
-  events_.push_back(std::move(e));
-}
-
-std::vector<HealthEvent> EventLog::Snapshot() const {
-  common::MutexLock lock(mu_);
-  return events_;
-}
-
-void EventLog::Clear() {
-  common::MutexLock lock(mu_);
-  events_.clear();
-  next_event_id_ = 1;
-  tick_ = 0;
 }
 
 }  // namespace sdw::obs

@@ -1,12 +1,12 @@
 #ifndef SDW_OBS_QUERY_LOG_H_
 #define SDW_OBS_QUERY_LOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "common/thread_annotations.h"
+#include "obs/history.h"
 #include "obs/trace.h"
 
 namespace sdw::obs {
@@ -31,9 +31,14 @@ struct QueryRecord {
   /// never pinned one.
   std::string snapshot;
   SpanCounters counters;
-  std::shared_ptr<Trace> trace;  // null when tracing was disabled
+  /// The query's stl_span rows; null for a cache hit or a failed query.
+  /// They leave the history with the record.
+  std::shared_ptr<Trace> trace;
 
   uint64_t elapsed() const { return end_tick - start_tick; }
+  /// The record's charge, its span tree included. Query ids are
+  /// reserved when the query starts, so the history assigns none.
+  size_t history_bytes() const;
 };
 
 /// Per-warehouse history of executed queries plus the warehouse's
@@ -46,26 +51,26 @@ class QueryLog {
     int query_id;
     uint64_t start_tick;
   };
-  Started StartQuery() SDW_EXCLUDES(mu_);
+  Started StartQuery();
 
   /// Records a finished query: assigns virtual times to its trace
   /// (if any), advances the warehouse clock past the query's end, and
   /// appends the record. Returns the query's end tick (callers stamp
   /// follow-on records like alerts with it).
-  uint64_t FinishQuery(QueryRecord record) SDW_EXCLUDES(mu_);
+  uint64_t FinishQuery(QueryRecord record);
 
-  std::vector<QueryRecord> Snapshot() const SDW_EXCLUDES(mu_);
-  uint64_t now() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
+  const History<QueryRecord>& history() const { return history_; }
+  uint64_t now() const { return clock_.load(); }
 
  private:
-  mutable common::Mutex mu_{common::LockRank::kQueryLog};
-  int next_query_id_ SDW_GUARDED_BY(mu_) = 1;
-  uint64_t clock_ SDW_GUARDED_BY(mu_) = 0;
-  std::vector<QueryRecord> records_ SDW_GUARDED_BY(mu_);
+  std::atomic<int> next_query_id_{1};
+  std::atomic<uint64_t> clock_{0};
+  History<QueryRecord> history_;
 };
 
-/// One health/control-plane event as recorded in stl_health_events.
+/// One health/control-plane event as recorded in stl_health_events,
+/// appended by the warehouse's health sweep, recovery and the control
+/// plane. The history numbers it: `event_id` from 1, `tick` from 0.
 struct HealthEvent {
   int event_id = 0;
   uint64_t tick = 0;
@@ -74,22 +79,14 @@ struct HealthEvent {
   int node = -1;
   double value = 0;
   std::string detail;
-};
 
-/// Append-only event history, shared by the warehouse's health sweep
-/// and the control plane. Thread-safe.
-class EventLog {
- public:
-  void Record(const std::string& source, const std::string& kind, int node,
-              double value, const std::string& detail) SDW_EXCLUDES(mu_);
-  std::vector<HealthEvent> Snapshot() const SDW_EXCLUDES(mu_);
-  void Clear() SDW_EXCLUDES(mu_);
-
- private:
-  mutable common::Mutex mu_{common::LockRank::kEventLog};
-  int next_event_id_ SDW_GUARDED_BY(mu_) = 1;
-  uint64_t tick_ SDW_GUARDED_BY(mu_) = 0;
-  std::vector<HealthEvent> events_ SDW_GUARDED_BY(mu_);
+  size_t history_bytes() const {
+    return sizeof(*this) + source.size() + kind.size() + detail.size();
+  }
+  void set_history_id(uint64_t id) {
+    event_id = static_cast<int>(id);
+    tick = id - 1;
+  }
 };
 
 }  // namespace sdw::obs

@@ -75,9 +75,17 @@ class LruQueryCache {
   LruQueryCache(size_t capacity, CacheMetrics metrics)
       : capacity_(capacity < 1 ? 1 : capacity), metrics_(metrics) {}
 
-  /// The cache's registry counters (gauge sampling reads hit rates off
-  /// them; note the counters are process-global per prefix).
+  /// The cache's registry counters, shared by every cache with the same
+  /// prefix in the process.
   const CacheMetrics& metrics() const { return metrics_; }
+
+  /// Hits over lookups of this cache alone since it was built (0 before
+  /// the first lookup); stv_gauge_history reads it.
+  double hit_rate() const SDW_EXCLUDES(mu_) {
+    common::MutexLock lock(mu_);
+    const uint64_t lookups = hits_ + misses_;
+    return lookups > 0 ? static_cast<double>(hits_) / lookups : 0.0;
+  }
 
   /// Sets `*dropped_stale` (if given) when the statement was cached
   /// under an older key — the miss is a write-driven invalidation.
@@ -89,6 +97,7 @@ class LruQueryCache {
     common::MutexLock lock(mu_);
     auto it = entries_.find(fingerprint);
     if (it == entries_.end() || it->second.canonical_text != canonical_text) {
+      ++misses_;
       metrics_.misses->Add();
       return nullptr;
     }
@@ -97,6 +106,7 @@ class LruQueryCache {
       // and generations are never reused), so reclaim the entry eagerly.
       lru_.erase(it->second.lru_pos);
       entries_.erase(it);
+      ++misses_;
       metrics_.misses->Add();
       metrics_.invalidations->Add();
       if (dropped_stale != nullptr) *dropped_stale = true;
@@ -104,6 +114,7 @@ class LruQueryCache {
     }
     ++it->second.hits;
     lru_.splice(lru_.end(), lru_, it->second.lru_pos);
+    ++hits_;
     metrics_.hits->Add();
     return it->second.value;
   }
@@ -178,6 +189,8 @@ class LruQueryCache {
   /// Least recently used at the front. std::map keeps Entries() ordered.
   std::list<uint64_t> lru_ SDW_GUARDED_BY(mu_);
   std::map<uint64_t, Entry> entries_ SDW_GUARDED_BY(mu_);
+  uint64_t hits_ SDW_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ SDW_GUARDED_BY(mu_) = 0;
 };
 
 /// A finished SELECT held by the result cache.

@@ -113,20 +113,20 @@ exec::Batch BuildStlQuery(const obs::QueryLog& log,
                           const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::QueryRecord& q : log.Snapshot()) {
-    b.columns[0].AppendInt(q.query_id);
-    b.columns[1].AppendString(q.sql_text);
-    b.columns[2].AppendString(q.status);
-    AppendTicks(&b.columns[3], q.start_tick);
-    AppendTicks(&b.columns[4], q.end_tick);
-    b.columns[5].AppendDouble(q.queue_seconds);
-    b.columns[6].AppendDouble(q.exec_seconds);
-    AppendTicks(&b.columns[7], q.result_rows);
-    AppendTicks(&b.columns[8], q.counters.blocks_decoded);
-    AppendTicks(&b.columns[9], q.counters.bytes_shuffled);
-    AppendTicks(&b.columns[10], q.counters.masked_reads);
-    AppendTicks(&b.columns[11], q.counters.s3_fault_reads);
-    b.columns[12].AppendString(q.snapshot);
+  for (const auto& q : log.history().Snapshot()) {
+    b.columns[0].AppendInt(q->query_id);
+    b.columns[1].AppendString(q->sql_text);
+    b.columns[2].AppendString(q->status);
+    AppendTicks(&b.columns[3], q->start_tick);
+    AppendTicks(&b.columns[4], q->end_tick);
+    b.columns[5].AppendDouble(q->queue_seconds);
+    b.columns[6].AppendDouble(q->exec_seconds);
+    AppendTicks(&b.columns[7], q->result_rows);
+    AppendTicks(&b.columns[8], q->counters.blocks_decoded);
+    AppendTicks(&b.columns[9], q->counters.bytes_shuffled);
+    AppendTicks(&b.columns[10], q->counters.masked_reads);
+    AppendTicks(&b.columns[11], q->counters.s3_fault_reads);
+    b.columns[12].AppendString(q->snapshot);
   }
   return b;
 }
@@ -134,10 +134,10 @@ exec::Batch BuildStlQuery(const obs::QueryLog& log,
 exec::Batch BuildStlSpan(const obs::QueryLog& log, const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::QueryRecord& q : log.Snapshot()) {
-    if (!q.trace) continue;
-    for (const obs::Span& s : q.trace->spans()) {
-      b.columns[0].AppendInt(q.query_id);
+  for (const auto& q : log.history().Snapshot()) {
+    if (!q->trace) continue;
+    for (const obs::Span& s : q->trace->spans()) {
+      b.columns[0].AppendInt(q->query_id);
       b.columns[1].AppendInt(s.span_id);
       b.columns[2].AppendInt(s.parent_id);
       b.columns[3].AppendString(s.name);
@@ -206,18 +206,18 @@ exec::Batch BuildStvMetrics(const TableSchema& schema) {
   return b;
 }
 
-exec::Batch BuildStlHealthEvents(const obs::EventLog& log,
+exec::Batch BuildStlHealthEvents(const obs::History<obs::HealthEvent>& log,
                                  const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const obs::HealthEvent& e : log.Snapshot()) {
-    b.columns[0].AppendInt(e.event_id);
-    AppendTicks(&b.columns[1], e.tick);
-    b.columns[2].AppendString(e.source);
-    b.columns[3].AppendString(e.kind);
-    b.columns[4].AppendInt(e.node);
-    b.columns[5].AppendDouble(e.value);
-    b.columns[6].AppendString(e.detail);
+  for (const auto& e : log.Snapshot()) {
+    b.columns[0].AppendInt(e->event_id);
+    AppendTicks(&b.columns[1], e->tick);
+    b.columns[2].AppendString(e->source);
+    b.columns[3].AppendString(e->kind);
+    b.columns[4].AppendInt(e->node);
+    b.columns[5].AppendDouble(e->value);
+    b.columns[6].AppendString(e->detail);
   }
   return b;
 }
@@ -226,15 +226,15 @@ exec::Batch BuildStlWlm(const cluster::AdmissionController& wlm,
                         const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  for (const cluster::AdmissionController::Report& r : wlm.reports()) {
-    b.columns[0].AppendInt(static_cast<int64_t>(r.seq));
-    b.columns[1].AppendInt(r.session_id);
-    b.columns[2].AppendString(r.state);
-    b.columns[3].AppendString(r.queue);
-    b.columns[4].AppendString(r.statement);
-    b.columns[5].AppendDouble(r.queued_seconds);
-    b.columns[6].AppendDouble(r.exec_seconds);
-    b.columns[7].AppendInt(r.hops);
+  for (const auto& r : wlm.report_history().Snapshot()) {
+    b.columns[0].AppendInt(static_cast<int64_t>(r->seq));
+    b.columns[1].AppendInt(r->session_id);
+    b.columns[2].AppendString(r->state);
+    b.columns[3].AppendString(r->queue);
+    b.columns[4].AppendString(r->statement);
+    b.columns[5].AppendDouble(r->queued_seconds);
+    b.columns[6].AppendDouble(r->exec_seconds);
+    b.columns[7].AppendInt(r->hops);
   }
   return b;
 }
@@ -284,31 +284,30 @@ exec::Batch BuildStvCache(const SystemTableSources& sources,
   return b;
 }
 
-exec::Batch BuildStlScan(const obs::ScanLog* log, const TableSchema& schema) {
+exec::Batch BuildStlScan(const obs::History<obs::ScanRecord>& log,
+                         const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (log == nullptr) return b;
-  for (const obs::ScanRecord& s : log->Snapshot()) {
-    b.columns[0].AppendInt(s.scan_id);
-    b.columns[1].AppendInt(s.query_id);
-    b.columns[2].AppendString(s.table);
-    b.columns[3].AppendString(s.site);
-    b.columns[4].AppendString(s.predicates);
-    b.columns[5].AppendInt(static_cast<int64_t>(s.rows_scanned));
-    b.columns[6].AppendInt(static_cast<int64_t>(s.rows_out));
-    b.columns[7].AppendInt(static_cast<int64_t>(s.blocks_read));
-    b.columns[8].AppendInt(static_cast<int64_t>(s.blocks_skipped));
-    b.columns[9].AppendInt(static_cast<int64_t>(s.bytes_decoded));
+  for (const auto& s : log.Snapshot()) {
+    b.columns[0].AppendInt(s->scan_id);
+    b.columns[1].AppendInt(s->query_id);
+    b.columns[2].AppendString(s->table);
+    b.columns[3].AppendString(s->site);
+    b.columns[4].AppendString(s->predicates);
+    b.columns[5].AppendInt(static_cast<int64_t>(s->rows_scanned));
+    b.columns[6].AppendInt(static_cast<int64_t>(s->rows_out));
+    b.columns[7].AppendInt(static_cast<int64_t>(s->blocks_read));
+    b.columns[8].AppendInt(static_cast<int64_t>(s->blocks_skipped));
+    b.columns[9].AppendInt(static_cast<int64_t>(s->bytes_decoded));
   }
   return b;
 }
 
-exec::Batch BuildStvInflight(const obs::InflightRegistry* inflight,
+exec::Batch BuildStvInflight(const obs::InflightRegistry& inflight,
                              const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (inflight == nullptr) return b;
-  for (const obs::InflightEntry& e : inflight->Snapshot()) {
+  for (const obs::InflightEntry& e : inflight.Snapshot()) {
     b.columns[0].AppendInt(e.inflight_id);
     b.columns[1].AppendInt(e.session_id);
     b.columns[2].AppendString(e.statement);
@@ -322,52 +321,50 @@ exec::Batch BuildStvInflight(const obs::InflightRegistry* inflight,
   return b;
 }
 
-exec::Batch BuildStvGaugeHistory(const obs::GaugeHistory* gauges,
+exec::Batch BuildStvGaugeHistory(const obs::History<obs::GaugeSample>& gauges,
                                  const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (gauges == nullptr) return b;
   // Each sample renders as an aggregate "total" row followed by one row
   // per WLM queue. The warehouse-global gauges (cache hit rates, GC
   // backlog, degradation) repeat on every row of the sample so a
   // per-queue filter still sees them; filter queue = 'total' to chart
   // fleet-wide occupancy without double counting.
-  for (const obs::GaugeSample& s : gauges->Snapshot()) {
+  for (const auto& s : gauges.Snapshot()) {
     auto append_row = [&b, &s](const std::string& queue, int queued,
                                int running, int max_in_flight) {
-      b.columns[0].AppendInt(s.seq);
-      AppendTicks(&b.columns[1], s.tick);
+      b.columns[0].AppendInt(s->seq);
+      AppendTicks(&b.columns[1], s->tick);
       b.columns[2].AppendString(queue);
       b.columns[3].AppendInt(queued);
       b.columns[4].AppendInt(running);
       b.columns[5].AppendInt(max_in_flight);
-      b.columns[6].AppendDouble(s.result_cache_hit_rate);
-      b.columns[7].AppendDouble(s.segment_cache_hit_rate);
-      b.columns[8].AppendInt(static_cast<int64_t>(s.gc_backlog));
-      b.columns[9].AppendInt(static_cast<int64_t>(s.degraded_blocks));
+      b.columns[6].AppendDouble(s->result_cache_hit_rate);
+      b.columns[7].AppendDouble(s->segment_cache_hit_rate);
+      b.columns[8].AppendInt(static_cast<int64_t>(s->gc_backlog));
+      b.columns[9].AppendInt(static_cast<int64_t>(s->degraded_blocks));
     };
-    append_row("total", s.wlm_queued, s.wlm_running, s.wlm_max_in_flight);
-    for (const obs::GaugeSample::QueueGauge& q : s.queues) {
+    append_row("total", s->wlm_queued, s->wlm_running, s->wlm_max_in_flight);
+    for (const obs::GaugeSample::QueueGauge& q : s->queues) {
       append_row(q.name, q.queued, q.running, q.max_in_flight);
     }
   }
   return b;
 }
 
-exec::Batch BuildStlAlertEventLog(const obs::AlertLog* alerts,
+exec::Batch BuildStlAlertEventLog(const obs::History<obs::AlertEvent>& alerts,
                                   const TableSchema& schema) {
   exec::Batch b;
   for (const ColumnDef& c : schema.columns()) b.columns.emplace_back(c.type);
-  if (alerts == nullptr) return b;
-  for (const obs::AlertEvent& a : alerts->Snapshot()) {
-    b.columns[0].AppendInt(a.alert_id);
-    b.columns[1].AppendInt(a.query_id);
-    AppendTicks(&b.columns[2], a.tick);
-    b.columns[3].AppendString(a.rule);
-    b.columns[4].AppendString(a.table);
-    b.columns[5].AppendDouble(a.evidence);
-    b.columns[6].AppendString(a.detail);
-    b.columns[7].AppendString(a.action);
+  for (const auto& a : alerts.Snapshot()) {
+    b.columns[0].AppendInt(a->alert_id);
+    b.columns[1].AppendInt(a->query_id);
+    AppendTicks(&b.columns[2], a->tick);
+    b.columns[3].AppendString(a->rule);
+    b.columns[4].AppendString(a->table);
+    b.columns[5].AppendDouble(a->evidence);
+    b.columns[6].AppendString(a->detail);
+    b.columns[7].AppendString(a->action);
   }
   return b;
 }
@@ -403,13 +400,13 @@ Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
   } else if (query.from_table == "stv_cache") {
     data = BuildStvCache(sources, schema);
   } else if (query.from_table == "stl_scan") {
-    data = BuildStlScan(sources.scan_log, schema);
+    data = BuildStlScan(*sources.scan_log, schema);
   } else if (query.from_table == "stv_inflight") {
-    data = BuildStvInflight(sources.inflight, schema);
+    data = BuildStvInflight(*sources.inflight, schema);
   } else if (query.from_table == "stv_gauge_history") {
-    data = BuildStvGaugeHistory(sources.gauges, schema);
+    data = BuildStvGaugeHistory(*sources.gauges, schema);
   } else if (query.from_table == "stl_alert_event_log") {
-    data = BuildStlAlertEventLog(sources.alerts, schema);
+    data = BuildStlAlertEventLog(*sources.alerts, schema);
   } else {
     data = BuildStlHealthEvents(*sources.event_log, schema);
   }

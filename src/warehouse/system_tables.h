@@ -36,15 +36,15 @@ struct SystemQueryResult {
 /// while its key still matches that generation and the head stamps).
 struct SystemTableSources {
   const obs::QueryLog* query_log = nullptr;
-  const obs::EventLog* event_log = nullptr;
+  const obs::History<obs::HealthEvent>* event_log = nullptr;
   cluster::Cluster* cluster = nullptr;
   const cluster::AdmissionController* wlm = nullptr;
   SegmentCache* segment_cache = nullptr;
   ResultCache* result_cache = nullptr;
-  const obs::ScanLog* scan_log = nullptr;
+  const obs::History<obs::ScanRecord>* scan_log = nullptr;
   const obs::InflightRegistry* inflight = nullptr;
-  const obs::GaugeHistory* gauges = nullptr;
-  const obs::AlertLog* alerts = nullptr;
+  const obs::History<obs::GaugeSample>* gauges = nullptr;
+  const obs::History<obs::AlertEvent>* alerts = nullptr;
   uint64_t generation = 0;
 };
 

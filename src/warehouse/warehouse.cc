@@ -248,42 +248,35 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
   // Gauge the pre-sweep state first: queue depth, cache hit rates, GC
   // backlog, degradation — the time series stv_gauge_history serves,
   // plus the sweep-time threshold alerts.
-  if (options_.workload_intelligence) {
-    auto hit_rate = [](const CacheMetrics& m) {
-      const double hits = static_cast<double>(m.hits->value());
-      const double misses = static_cast<double>(m.misses->value());
-      return hits + misses > 0 ? hits / (hits + misses) : 0.0;
-    };
-    obs::GaugeSample sample;
-    sample.tick = query_log_.now();
-    sample.wlm_queued = static_cast<int>(admission_.queued());
-    sample.wlm_running = admission_.running();
-    sample.wlm_max_in_flight = admission_.max_in_flight();
-    sample.result_cache_hit_rate = hit_rate(result_cache_.metrics());
-    sample.segment_cache_hit_rate = hit_rate(segment_cache_.metrics());
-    sample.gc_backlog = cluster_->PendingGarbage();
-    sample.degraded_blocks = repl->CountSingleCopyBlocks();
-    for (const cluster::AdmissionController::QueueStats& queue :
-         admission_.queue_stats()) {
-      obs::GaugeSample::QueueGauge gauge;
-      gauge.name = queue.name;
-      gauge.slots = queue.slots;
-      gauge.queued = static_cast<int>(queue.queued);
-      gauge.running = queue.running;
-      gauge.max_in_flight = queue.max_in_flight;
-      sample.queues.push_back(std::move(gauge));
-    }
-    gauges_.Record(sample);
-    obs::SweepAlertInputs sweep_inputs;
-    sweep_inputs.tick = sample.tick;
-    sweep_inputs.sample = sample;
-    sweep_inputs.wlm_slots = admission_.config().concurrency_slots;
-    sweep_inputs.gc_threshold =
-        options_.health_gc_threshold > 0
-            ? static_cast<uint64_t>(options_.health_gc_threshold)
-            : 0;
-    alerts_.Record(obs::EvaluateSweepAlerts(sweep_inputs));
+  obs::GaugeSample sample;
+  sample.tick = query_log_.now();
+  sample.wlm_queued = static_cast<int>(admission_.queued());
+  sample.wlm_running = admission_.running();
+  sample.wlm_max_in_flight = admission_.max_in_flight();
+  sample.result_cache_hit_rate = result_cache_.hit_rate();
+  sample.segment_cache_hit_rate = segment_cache_.hit_rate();
+  sample.gc_backlog = cluster_->PendingGarbage();
+  sample.degraded_blocks = repl->CountSingleCopyBlocks();
+  for (const cluster::AdmissionController::QueueStats& queue :
+       admission_.queue_stats()) {
+    obs::GaugeSample::QueueGauge gauge;
+    gauge.name = queue.name;
+    gauge.slots = queue.slots;
+    gauge.queued = static_cast<int>(queue.queued);
+    gauge.running = queue.running;
+    gauge.max_in_flight = queue.max_in_flight;
+    sample.queues.push_back(std::move(gauge));
   }
+  gauges_.Append(sample);
+  obs::SweepAlertInputs sweep_inputs;
+  sweep_inputs.tick = sample.tick;
+  sweep_inputs.sample = sample;
+  sweep_inputs.wlm_slots = admission_.config().concurrency_slots;
+  sweep_inputs.gc_threshold =
+      options_.health_gc_threshold > 0
+          ? static_cast<uint64_t>(options_.health_gc_threshold)
+          : 0;
+  alerts_.Append(obs::EvaluateSweepAlerts(sweep_inputs));
 
   HealthStats stats;
   std::vector<int> to_replace;
@@ -306,16 +299,18 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     // the host manager restarts it locally until its budget runs out.
     if (host_managers_[n].OnProcessCrash()) {
       ++stats.restarts;
-      event_log_.Record("host_manager", "restart", n,
-                        static_cast<double>(cluster_->node_read_failures(n)),
-                        "process restart after repeated masked read failures");
+      event_log_.Append(obs::HealthEvent{
+          .source = "host_manager", .kind = "restart", .node = n,
+          .value = static_cast<double>(cluster_->node_read_failures(n)),
+          .detail = "process restart after repeated masked read failures"});
       cluster_->ResetNodeReadFailures(n);
     } else {
       SDW_LOG(Warning) << "node " << n
                        << " exceeded its restart budget; escalating to "
                           "control-plane replacement";
-      event_log_.Record("host_manager", "escalate", n, 0,
-                        "restart budget exhausted");
+      event_log_.Append(obs::HealthEvent{
+          .source = "host_manager", .kind = "escalate", .node = n,
+          .detail = "restart budget exhausted"});
       repl->FailNode(n);
       to_replace.push_back(n);
     }
@@ -327,9 +322,10 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
   SDW_ASSIGN_OR_RETURN(int rereplicated, repl->ReReplicate());
   stats.blocks_rereplicated = static_cast<uint64_t>(rereplicated);
   if (rereplicated > 0) {
-    event_log_.Record("sweep", "rereplicate", -1,
-                      static_cast<double>(rereplicated),
-                      "blocks copied back to two-copy");
+    event_log_.Append(obs::HealthEvent{
+        .source = "sweep", .kind = "rereplicate",
+        .value = static_cast<double>(rereplicated),
+        .detail = "blocks copied back to two-copy"});
   }
 
   for (int n : to_replace) {
@@ -354,9 +350,10 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     SDW_LOG(Warning) << stats.single_copy_blocks
                      << " blocks at a single copy (degraded mode: serving "
                         "continues, next sweep re-replicates)";
-    event_log_.Record("sweep", "degraded", -1,
-                      static_cast<double>(stats.single_copy_blocks),
-                      "blocks at a single copy after sweep");
+    event_log_.Append(obs::HealthEvent{
+        .source = "sweep", .kind = "degraded",
+        .value = static_cast<double>(stats.single_copy_blocks),
+        .detail = "blocks at a single copy after sweep"});
   }
 
   // Self-triggering MVCC GC: once retired versions and dropped shards
@@ -372,10 +369,11 @@ Result<HealthStats> Warehouse::RunHealthSweep() {
     stats.gc_triggered = true;
     stats.gc_versions_reclaimed = gc.versions_reclaimed;
     stats.gc_blocks_reclaimed = gc.blocks_reclaimed;
-    event_log_.Record("sweep", "gc", -1,
-                      static_cast<double>(gc.blocks_reclaimed),
-                      "self-triggered GC at pending-garbage " +
-                          std::to_string(pending));
+    event_log_.Append(obs::HealthEvent{
+        .source = "sweep", .kind = "gc",
+        .value = static_cast<double>(gc.blocks_reclaimed),
+        .detail = "self-triggered GC at pending-garbage " +
+                  std::to_string(pending)});
   }
   return stats;
 }
@@ -680,10 +678,8 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
 
   // Register with stv_inflight before joining the admission queue so a
   // queued statement is visible (phase "queued") while it waits.
-  obs::InflightRegistry::Ticket ticket;
-  if (options_.workload_intelligence) {
-    ticket = inflight_.Register(session_id, sql_text);
-  }
+  obs::InflightRegistry::Ticket ticket =
+      inflight_.Register(session_id, sql_text);
 
   cluster::AdmitRequest admit_request;
   admit_request.session_id = session_id;
@@ -694,10 +690,8 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   SDW_ASSIGN_OR_RETURN(cluster::AdmissionController::Slot slot,
                        AdmitOrReport(&admission_, admit_request));
   WlmReportScope report(&admission_, session_id, sql_text, slot);
-  if (ticket) {
-    ticket.progress()->set_queued_seconds(slot.queued_seconds());
-    ticket.progress()->set_phase(obs::QueryPhase::kPlan);
-  }
+  ticket.progress()->set_queued_seconds(slot.queued_seconds());
+  ticket.progress()->set_phase(obs::QueryPhase::kPlan);
   sim::Stopwatch exec_timer;
   // Pin the MVCC snapshot AFTER admission: a write may have committed
   // while this statement sat in the WLM queue, and the cache entries
@@ -734,7 +728,7 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   cluster::ExecOptions exec_options = options_.exec;
   exec_options.segment_cache_hit = segment_hit;
   exec_options.snapshot = pin.snapshot;
-  exec_options.progress = ticket ? ticket.progress() : nullptr;
+  exec_options.progress = ticket.progress();
   cluster::QueryExecutor executor(pin.cluster.get(), exec_options);
   Result<cluster::QueryResult> executed = executor.Execute(*physical);
   if (!executed.ok()) {
@@ -767,25 +761,22 @@ Result<StatementResult> Warehouse::RunSelect(const plan::LogicalQuery& query,
   report.set_state("run");
 
   // Workload intelligence at query finish: log the per-scan telemetry
-  // (stl_scan + block heat) and evaluate the performance-alert rules
-  // over it. Alert ticks are the query's end tick, so serial and
-  // pooled runs log byte-identical alert histories.
-  std::vector<obs::AlertEvent> fired;
-  if (options_.workload_intelligence) {
-    std::vector<obs::ScanRecord> scans = query_result.stats.scans;
-    for (obs::ScanRecord& scan : scans) scan.query_id = started.query_id;
-    obs::QueryAlertInputs inputs;
-    inputs.query_id = started.query_id;
-    inputs.tick = end_tick;
-    inputs.scans = scans;
-    inputs.masked_reads = query_result.stats.masked_reads;
-    inputs.queue_seconds = queue_seconds;
-    inputs.exec_seconds = exec_seconds;
-    inputs.repeat_cache_miss = repeat_cache_miss;
-    fired = obs::EvaluateQueryAlerts(inputs);
-    alerts_.Record(fired);
-    scan_log_.Append(std::move(scans));
-  }
+  // (stl_scan) and evaluate the performance-alert rules over it. Alert
+  // ticks are the query's end tick, so serial and pooled runs log
+  // byte-identical alert histories.
+  std::vector<obs::ScanRecord> scans = query_result.stats.scans;
+  for (obs::ScanRecord& scan : scans) scan.query_id = started.query_id;
+  obs::QueryAlertInputs inputs;
+  inputs.query_id = started.query_id;
+  inputs.tick = end_tick;
+  inputs.scans = scans;
+  inputs.masked_reads = query_result.stats.masked_reads;
+  inputs.queue_seconds = queue_seconds;
+  inputs.exec_seconds = exec_seconds;
+  inputs.repeat_cache_miss = repeat_cache_miss;
+  const std::vector<obs::AlertEvent> fired = obs::EvaluateQueryAlerts(inputs);
+  alerts_.Append(fired);
+  scan_log_.Append(std::move(scans));
 
   if (explain_analyze) {
     result.exec_stats = query_result.stats;
@@ -846,10 +837,7 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   // changed nothing a reader can see, so every cache entry stays valid.
   // Writes are visible in stv_inflight too — a long COPY is exactly
   // what an operator polls for from another session.
-  obs::InflightRegistry::Ticket ticket;
-  if (options_.workload_intelligence) {
-    ticket = inflight_.Register(session_id, sql);
-  }
+  obs::InflightRegistry::Ticket ticket = inflight_.Register(session_id, sql);
   cluster::AdmitRequest admit_request;
   admit_request.session_id = session_id;
   admit_request.user_group = user_group;
@@ -866,10 +854,8 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   SDW_ASSIGN_OR_RETURN(cluster::AdmissionController::Slot slot,
                        AdmitOrReport(&admission_, admit_request));
   WlmReportScope report(&admission_, session_id, sql, slot);
-  if (ticket) {
-    ticket.progress()->set_queued_seconds(slot.queued_seconds());
-    ticket.progress()->set_phase(obs::QueryPhase::kExec);
-  }
+  ticket.progress()->set_queued_seconds(slot.queued_seconds());
+  ticket.progress()->set_phase(obs::QueryPhase::kExec);
   common::MutexLock statement_lock(writer_mu_);
 
   if (auto* create = std::get_if<sql::CreateTableStmt>(&stmt)) {
@@ -916,7 +902,7 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
     // the installed data instead of mid-load.
     copy_options.staging = &staged;
     copy_options.statupdate = false;
-    copy_options.progress = ticket ? ticket.progress() : nullptr;
+    copy_options.progress = ticket.progress();
     SDW_ASSIGN_OR_RETURN(result.copy_stats,
                          executor.CopyFromUri(copy->table, copy->source_uri,
                                               copy_options));
@@ -1214,17 +1200,18 @@ Result<Warehouse::RecoverStats> Warehouse::Recover() {
   SDW_RETURN_IF_ERROR(status);
   recoveries->Add();
   replayed->Add(stats.replayed_records);
-  event_log_.Record(
-      "durability", "recover", -1,
-      static_cast<double>(stats.replayed_records),
-      "recovered from snapshot " + std::to_string(stats.base_snapshot_id) +
+  event_log_.Append(obs::HealthEvent{
+      .source = "durability",
+      .kind = "recover",
+      .value = static_cast<double>(stats.replayed_records),
+      .detail =
+          "recovered from snapshot " + std::to_string(stats.base_snapshot_id) +
           ", replayed " + std::to_string(stats.replayed_records) +
           " log records (" + std::to_string(stats.replayed_statements) +
           " statements)" +
-          (stats.torn_lsn != 0
-               ? ", truncated torn tail at lsn " +
-                     std::to_string(stats.torn_lsn)
-               : ""));
+          (stats.torn_lsn != 0 ? ", truncated torn tail at lsn " +
+                                     std::to_string(stats.torn_lsn)
+                               : "")});
   return stats;
 }
 

@@ -84,12 +84,6 @@ struct WarehouseOptions {
   /// the data plane's pending-garbage count (retired chain versions +
   /// dropped shards) reaches this threshold. 0 disables self-GC.
   int health_gc_threshold = 64;
-  /// The workload-intelligence layer: stl_scan telemetry, stv_inflight
-  /// progress, gauge sampling, and performance alerts. On by default;
-  /// the A17 bench's baseline arm turns it off to measure its overhead.
-  bool workload_intelligence = true;
-  /// Ring size of stv_gauge_history (one sample per health sweep).
-  size_t gauge_history_capacity = 256;
 };
 
 /// Outcome of one health sweep (§2.2: host managers restart, the
@@ -263,18 +257,19 @@ class Warehouse {
 
   /// Observability: the per-warehouse query history behind stl_query /
   /// stl_span and the health-event history behind stl_health_events.
-  /// Both are also queryable through Execute() as system tables.
+  /// Both are also queryable through Execute() as system tables, and
+  /// each history keeps its newest obs::kHistoryBytes.
   obs::QueryLog* query_log() { return &query_log_; }
-  obs::EventLog* event_log() { return &event_log_; }
+  obs::History<obs::HealthEvent>* event_log() { return &event_log_; }
 
-  /// Workload intelligence: per-scan telemetry + block heat (stl_scan),
-  /// live statement progress (stv_inflight), sweep gauge samples
+  /// Workload intelligence: per-scan telemetry (stl_scan), live
+  /// statement progress (stv_inflight), sweep gauge samples
   /// (stv_gauge_history), and performance alerts
   /// (stl_alert_event_log). All four are queryable through Execute().
-  obs::ScanLog* scan_log() { return &scan_log_; }
+  obs::History<obs::ScanRecord>* scan_log() { return &scan_log_; }
   obs::InflightRegistry* inflight() { return &inflight_; }
-  obs::GaugeHistory* gauges() { return &gauges_; }
-  obs::AlertLog* alerts() { return &alerts_; }
+  obs::History<obs::GaugeSample>* gauges() { return &gauges_; }
+  obs::History<obs::AlertEvent>* alerts() { return &alerts_; }
 
   /// One MVCC garbage-collection sweep over the data plane: reclaims
   /// retired chain versions and dropped tables no pinned snapshot can
@@ -392,11 +387,11 @@ class Warehouse {
   controlplane::ControlPlane control_plane_{&health_engine_};
   std::vector<controlplane::HostManager> host_managers_;
   obs::QueryLog query_log_;
-  obs::EventLog event_log_;
-  obs::ScanLog scan_log_;
+  obs::History<obs::HealthEvent> event_log_;
+  obs::History<obs::ScanRecord> scan_log_;
   obs::InflightRegistry inflight_;
-  obs::GaugeHistory gauges_{options_.gauge_history_capacity};
-  obs::AlertLog alerts_;
+  obs::History<obs::GaugeSample> gauges_;
+  obs::History<obs::AlertEvent> alerts_;
 
   /// Lock order: admission slot -> writer_mu_ -> data_mu_ (then the
   /// caches' and data plane's internal locks, leaf-level).

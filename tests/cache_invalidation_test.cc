@@ -304,8 +304,8 @@ TEST_F(CacheInvalidationTest, RepeatMissAlertFiresOnWriteInvalidation) {
   MustRun(&wh, "INSERT INTO t VALUES (1, 10)");
   auto repeat_misses = [&wh] {
     size_t n = 0;
-    for (const obs::AlertEvent& e : wh.alerts()->Snapshot()) {
-      if (e.rule == "result-cache-repeat-miss") ++n;
+    for (const auto& e : wh.alerts()->Snapshot()) {
+      if (e->rule == "result-cache-repeat-miss") ++n;
     }
     return n;
   };

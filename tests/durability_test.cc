@@ -281,7 +281,7 @@ TEST(DurabilityRecovery, SnapshotPlusTailAndLogTruncationOnBackup) {
   // (stl_health_events).
   bool saw_recover_event = false;
   for (const auto& event : reborn->event_log()->Snapshot()) {
-    if (event.source == "durability" && event.kind == "recover") {
+    if (event->source == "durability" && event->kind == "recover") {
       saw_recover_event = true;
     }
   }

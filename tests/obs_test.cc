@@ -229,9 +229,9 @@ TEST(SystemTablesTest, ShuffleJoinSpanTreeShape) {
   RunWorkload(&wh);
 
   // The join query is the second-to-last record.
-  auto records = wh.query_log()->Snapshot();
+  auto records = wh.query_log()->history().Snapshot();
   ASSERT_GE(records.size(), 2u);
-  const obs::QueryRecord& join_q = records[records.size() - 2];
+  const obs::QueryRecord& join_q = *records[records.size() - 2];
   ASSERT_NE(join_q.sql_text.find("JOIN"), std::string::npos);
   ASSERT_NE(join_q.trace, nullptr);
 
@@ -286,9 +286,8 @@ TEST(SystemTablesTest, SerialAndPooledRunsLogIdenticalTables) {
   // Every per-warehouse system table renders identically: virtual
   // ticks come from deterministic work counters, never wall clock.
   // stl_query projects out queue_seconds/exec_seconds (measured real
-  // time, the one documented nondeterminism in the table), and the
-  // gauge sample's cache hit rates come off process-global counters,
-  // so each arm runs from a clean registry.
+  // time, the one documented nondeterminism in the table). Each arm
+  // runs from a clean registry.
   const std::vector<std::string> sqls = {
       "SELECT query_id, sql_text, status, start_tick, end_tick, "
       "result_rows, blocks_decoded, network_bytes, masked_reads, "
@@ -382,10 +381,10 @@ TEST(SystemTablesTest, StlQuerySplitsQueueAndExecSeconds) {
   auto again = wh.Execute("SELECT COUNT(*) AS n FROM stl_query");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(static_cast<size_t>(again->rows.columns[0].IntAt(0)),
-            wh.query_log()->Snapshot().size());
+            wh.query_log()->history().Snapshot().size());
 }
 
-TEST(SystemTablesTest, ScanTelemetryFeedsStlScanAndBlockHeat) {
+TEST(SystemTablesTest, ScanTelemetryFeedsStlScan) {
   warehouse::Warehouse wh(ObsOptions(0));
   RunWorkload(&wh);
 
@@ -408,19 +407,6 @@ TEST(SystemTablesTest, ScanTelemetryFeedsStlScanAndBlockHeat) {
     EXPECT_EQ(r->rows.columns[6].IntAt(i), 0);    // blocks_skipped
   }
   EXPECT_TRUE(saw_selective);
-
-  // The per-table heat fold agrees with summing the log.
-  auto heat = wh.scan_log()->Heat();
-  ASSERT_TRUE(heat.count("f"));
-  EXPECT_GT(heat["f"].scans, 0u);
-  auto sums = wh.Execute(
-      "SELECT SUM(rows_scanned) AS rs, SUM(blocks_read) AS br "
-      "FROM stl_scan WHERE tbl = 'f'");
-  ASSERT_TRUE(sums.ok()) << sums.status();
-  EXPECT_EQ(static_cast<uint64_t>(sums->rows.columns[0].IntAt(0)),
-            heat["f"].rows_scanned);
-  EXPECT_EQ(static_cast<uint64_t>(sums->rows.columns[1].IntAt(0)),
-            heat["f"].blocks_read);
 }
 
 TEST(SystemTablesTest, SelectiveFilterAlertFiresDeterministically) {
@@ -586,6 +572,34 @@ TEST(SystemTablesTest, HealthEventsAreQueryable) {
   EXPECT_GT(alerts->rows.columns[1].DoubleAt(0), 0.0);
 }
 
+TEST(SystemTablesTest, GaugeHitRatesCountOnlyThisWarehouse) {
+  // The registry's cache counters are shared by every warehouse in the
+  // process; the gauge must read the sweeping warehouse's own caches.
+  warehouse::WarehouseOptions options = ObsOptions(0);
+  options.cluster.replicate = true;  // the sweep gauges need replication
+  warehouse::Warehouse a(options);
+  warehouse::Warehouse b(options);
+  for (warehouse::Warehouse* wh : {&a, &b}) {
+    ASSERT_TRUE(wh->Execute("CREATE TABLE t (k BIGINT)").ok());
+    ASSERT_TRUE(wh->Execute("INSERT INTO t VALUES (1), (2), (3)").ok());
+  }
+  // Ten lookups of one statement: a miss, then nine result-cache hits.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(a.Execute("SELECT COUNT(*) AS n FROM t").ok());
+  }
+  auto hit_rate = [](warehouse::Warehouse* wh) {
+    EXPECT_TRUE(wh->RunHealthSweep().ok());
+    auto r = wh->Execute(
+        "SELECT seq, result_cache_hit_rate FROM stv_gauge_history "
+        "WHERE queue = 'total' ORDER BY seq");
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok() || r->rows.num_rows() == 0) return -1.0;
+    return r->rows.columns[1].DoubleAt(r->rows.num_rows() - 1);
+  };
+  EXPECT_DOUBLE_EQ(hit_rate(&a), 0.9);
+  EXPECT_DOUBLE_EQ(hit_rate(&b), 0.0) << "b ran no SELECT";
+}
+
 TEST(SystemTablesTest, ExplainAnalyzeAnnotatesThePlan) {
   warehouse::Warehouse wh(ObsOptions(0));
   RunWorkload(&wh);
@@ -603,8 +617,8 @@ TEST(SystemTablesTest, ExplainAnalyzeAnnotatesThePlan) {
   EXPECT_NE(msg.find("Slice pipelines"), std::string::npos) << msg;
   EXPECT_NE(msg.find("elapsed_ticks="), std::string::npos) << msg;
   // EXPLAIN ANALYZE runs the query, so it is logged like any other.
-  const auto records = wh.query_log()->Snapshot();
-  EXPECT_NE(records.back().sql_text.find("EXPLAIN ANALYZE"),
+  const auto records = wh.query_log()->history().Snapshot();
+  EXPECT_NE(records.back()->sql_text.find("EXPLAIN ANALYZE"),
             std::string::npos);
 }
 

@@ -10,6 +10,7 @@
 
 #include "cluster/wlm.h"
 #include "common/random.h"
+#include "obs/history.h"
 
 namespace sdw::cluster {
 namespace {
@@ -33,7 +34,7 @@ TEST(WlmTest, SlotsBoundConcurrency) {
   EXPECT_EQ(wlm.running(), 0);
   EXPECT_EQ(wlm.reports().size(), 6u);
   // Three waves of two: completions at 10, 20, 30.
-  EXPECT_DOUBLE_EQ(wlm.reports().back().finished_at, 30.0);
+  EXPECT_DOUBLE_EQ(wlm.reports().back()->finished_at, 30.0);
 }
 
 TEST(WlmTest, FifoAdmission) {
@@ -55,9 +56,9 @@ TEST(WlmTest, QueueTimeAccounted) {
   wlm.Submit(5.0);
   wlm.Submit(5.0);
   engine.Run();
-  EXPECT_DOUBLE_EQ(wlm.reports()[0].queued_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(wlm.reports()[1].queued_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(wlm.reports()[1].exec_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(wlm.reports()[0]->queued_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(wlm.reports()[1]->queued_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(wlm.reports()[1]->exec_seconds, 5.0);
 }
 
 TEST(WlmTest, MemoryPenaltySlowsWideConfigs) {
@@ -66,7 +67,7 @@ TEST(WlmTest, MemoryPenaltySlowsWideConfigs) {
   WorkloadManager wlm(&engine, Slots(10, 0.04));
   wlm.Submit(10.0);
   engine.Run();
-  EXPECT_NEAR(wlm.reports()[0].exec_seconds, 13.6, 1e-9);
+  EXPECT_NEAR(wlm.reports()[0]->exec_seconds, 13.6, 1e-9);
 }
 
 TEST(WlmTest, TradeoffComponentsAreMonotone) {
@@ -81,8 +82,8 @@ TEST(WlmTest, TradeoffComponentsAreMonotone) {
     engine.Run();
     double queue = 0, exec = 0;
     for (const auto& r : wlm.reports()) {
-      queue += r.queued_seconds;
-      exec += r.exec_seconds;
+      queue += r->queued_seconds;
+      exec += r->exec_seconds;
     }
     return std::make_pair(queue / 40, exec / 40);
   };
@@ -104,8 +105,8 @@ TEST(WlmTest, LateSubmissionsAdmitImmediatelyWhenIdle) {
   // Engine idle at t=1; a new query starts right away.
   wlm.Submit(2.0);
   engine.Run();
-  EXPECT_DOUBLE_EQ(wlm.reports()[1].queued_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(wlm.reports()[1].finished_at, 3.0);
+  EXPECT_DOUBLE_EQ(wlm.reports()[1]->queued_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(wlm.reports()[1]->finished_at, 3.0);
 }
 
 TEST(WlmTest, ZeroAndNegativeSlotConfigsAreClamped) {
@@ -114,9 +115,6 @@ TEST(WlmTest, ZeroAndNegativeSlotConfigsAreClamped) {
   EXPECT_EQ(SanitizeWlmConfig(Slots(0)).concurrency_slots, 1);
   EXPECT_EQ(SanitizeWlmConfig(Slots(-3)).concurrency_slots, 1);
   EXPECT_EQ(SanitizeWlmConfig(Slots(4)).concurrency_slots, 4);
-  WlmConfig history = Slots(2);
-  history.max_report_history = 0;
-  EXPECT_EQ(SanitizeWlmConfig(history).max_report_history, 1u);
 
   // Both the simulator and the live controller accept the bad config.
   sim::Engine engine;
@@ -132,34 +130,47 @@ TEST(WlmTest, ZeroAndNegativeSlotConfigsAreClamped) {
 
 TEST(WlmTest, SimulatorReportHistoryIsRingBuffered) {
   sim::Engine engine;
-  WlmConfig config = Slots(2);
-  config.max_report_history = 8;
-  WorkloadManager wlm(&engine, config);
-  for (int i = 0; i < 50; ++i) wlm.Submit(1.0);
-  engine.Run();
-  EXPECT_EQ(wlm.reports().size(), 8u) << "history must not grow unbounded";
+  WorkloadManager wlm(&engine, Slots(2));
+  // Every report charges its size, so the history keeps this many.
+  const size_t kept =
+      obs::kHistoryBytes / sizeof(WorkloadManager::QueryReport);
+  const int submitted = static_cast<int>(kept) + 50;
+  // Two unit queries per simulated second keep the queue short.
+  for (int i = 0; i < submitted; i += 2) {
+    wlm.Submit(1.0);
+    wlm.Submit(1.0);
+    engine.Run();
+  }
+  const auto reports = wlm.reports();
+  EXPECT_EQ(reports.size(), kept) << "history must not grow unbounded";
+  EXPECT_LT(reports.size(), static_cast<size_t>(submitted));
   // The survivors are the newest reports: the last completion is at
-  // t=25 (50 unit queries through 2 slots).
-  EXPECT_DOUBLE_EQ(wlm.reports().back().finished_at, 25.0);
+  // t=submitted/2 (unit queries through 2 slots).
+  EXPECT_DOUBLE_EQ(reports.back()->finished_at, submitted / 2.0);
 }
 
 TEST(WlmTest, AdmissionReportHistoryIsRingBuffered) {
-  WlmConfig config = Slots(4);
-  config.max_report_history = 16;
-  AdmissionController controller(config);
+  AdmissionController controller(Slots(4));
+  // Long statement texts fill the byte bound within 100 reports.
+  const std::string statement(64 * 1024, 'x');
+  size_t charge = 0;
   for (int i = 0; i < 100; ++i) {
     AdmissionController::Report report;
     report.session_id = i;
     report.state = "run";
+    report.statement = statement;
+    charge = report.history_bytes();
     controller.Record(std::move(report));
   }
+  const size_t kept = obs::kHistoryBytes / charge;
+  ASSERT_LT(kept, 100u);
   const std::vector<AdmissionController::Report> reports =
       controller.reports();
-  ASSERT_EQ(reports.size(), 16u);
-  EXPECT_EQ(reports.front().session_id, 84);
+  ASSERT_EQ(reports.size(), kept);
+  EXPECT_EQ(reports.front().session_id, 100 - static_cast<int>(kept));
   EXPECT_EQ(reports.back().session_id, 99);
-  // Sequence numbers keep counting across evictions.
-  EXPECT_EQ(reports.back().seq, 99u);
+  // Sequence numbers count from 1 and keep counting across evictions.
+  EXPECT_EQ(reports.back().seq, 100u);
 }
 
 TEST(WlmTest, AdmissionEnforcesSlotLimitAcrossThreads) {
