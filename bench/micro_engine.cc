@@ -136,6 +136,41 @@ void BM_CompareKernelRowAtATime(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareKernelRowAtATime);
 
+// id BETWEEN 25 AND 75 as the planner lowers it: an AND of two
+// comparisons, combined lane by lane, over the 4096-row batches a
+// slice's scan yields. Arg 1 makes every tenth value NULL, so the
+// three-valued AND sees NULL lanes.
+void BM_BetweenKernel(benchmark::State& state) {
+  Rng rng(3);
+  std::vector<sdw::exec::Batch> batches(16);
+  for (sdw::exec::Batch& batch : batches) {
+    ColumnVector v(TypeId::kInt64);
+    for (int i = 0; i < 4096; ++i) {
+      if (state.range(0) != 0 && i % 10 == 0) {
+        v.AppendNull();
+      } else {
+        v.AppendInt(rng.UniformRange(0, 100));
+      }
+    }
+    batch.columns.push_back(std::move(v));
+  }
+  const auto col = sdw::exec::Col(0, TypeId::kInt64);
+  auto expr = sdw::exec::And(
+      sdw::exec::Cmp(sdw::exec::CmpOp::kGe, col,
+                     sdw::exec::Lit(Datum::Int64(25))),
+      sdw::exec::Cmp(sdw::exec::CmpOp::kLe, col,
+                     sdw::exec::Lit(Datum::Int64(75))));
+  for (auto _ : state) {
+    for (const sdw::exec::Batch& batch : batches) {
+      auto mask = expr->EvalBatch(batch);
+      SDW_CHECK(mask.ok());
+      benchmark::DoNotOptimize(*mask);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 16 * 4096);
+}
+BENCHMARK(BM_BetweenKernel)->Arg(0)->Arg(1);
+
 /// Times `make_op` over fresh copies of `source` (the copy is untimed),
 /// cut into the 4096-row batches a slice's scan yields, counting the
 /// source's rows as items.
@@ -183,6 +218,41 @@ void BM_HashAggregateIntKey(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_HashAggregateIntKey);
+
+// COUNT(*) and SUM with no GROUP BY: every row folds into one group, so
+// there is no hash, key table or id array.
+void BM_GlobalCountSum(benchmark::State& state) {
+  Rng rng(5);
+  sdw::exec::Batch source;
+  ColumnVector val(TypeId::kInt64);
+  for (int i = 0; i < 65536; ++i) val.AppendInt(rng.UniformRange(0, 100));
+  source.columns.push_back(std::move(val));
+  RunOverCopies(state, source, [](sdw::exec::OperatorPtr scan) {
+    return sdw::exec::HashAggregate(
+        std::move(scan), {},
+        {{sdw::exec::AggFn::kCount, -1}, {sdw::exec::AggFn::kSum, 0}});
+  });
+}
+BENCHMARK(BM_GlobalCountSum);
+
+// A bare COUNT(*) over the count-only batches a scan that projects no
+// column emits: one row count per candidate range, 16 ranges of 16K rows.
+void BM_CountOnlyBatches(benchmark::State& state) {
+  constexpr size_t kRanges = 16;
+  constexpr size_t kRangeRows = 16384;
+  for (auto _ : state) {
+    std::vector<sdw::exec::Batch> batches(kRanges);
+    for (auto& b : batches) b.rows = kRangeRows;
+    auto op = sdw::exec::HashAggregate(
+        sdw::exec::MemoryScan({}, std::move(batches)), {},
+        {{sdw::exec::AggFn::kCount, -1}});
+    auto out = sdw::exec::Collect(op.get());
+    SDW_CHECK(out.ok());
+    benchmark::DoNotOptimize(*out);
+  }
+  state.SetItemsProcessed(state.iterations() * kRanges * kRangeRows);
+}
+BENCHMARK(BM_CountOnlyBatches);
 
 // The same aggregate grouped by a VARCHAR key (keys live in the table's
 // string arena).

@@ -34,9 +34,7 @@ int Datum::Compare(const Datum& other) const {
     return string_.compare(other.string_);
   }
   if (type_ == TypeId::kDouble || other.type_ == TypeId::kDouble) {
-    double a = AsDouble();
-    double b = other.AsDouble();
-    return a < b ? -1 : (a > b ? 1 : 0);
+    return CompareDoubles(AsDouble(), other.AsDouble());
   }
   return int_ < other.int_ ? -1 : (int_ > other.int_ ? 1 : 0);
 }
@@ -47,8 +45,9 @@ uint64_t Datum::Hash() const {
     case TypeId::kString:
       return Hash64(std::string_view(string_));
     case TypeId::kDouble: {
-      // Normalize -0.0 so equal doubles hash equally.
+      // Normalize -0.0 and every NaN so equal doubles hash equally.
       double d = double_ == 0.0 ? 0.0 : double_;
+      if (d != d) d = __builtin_nan("");
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));
@@ -172,9 +171,15 @@ Status ColumnVector::AppendRange(const ColumnVector& other, size_t begin,
   return Status::OK();
 }
 
-ColumnVector ColumnVector::TakeInts(TypeId type, std::vector<int64_t> lane) {
+ColumnVector ColumnVector::TakeInts(TypeId type, std::vector<int64_t> lane,
+                                   std::vector<uint8_t> nulls) {
   ColumnVector v(type);
-  v.nulls_.assign(lane.size(), 0);
+  if (nulls.empty()) {
+    v.nulls_.assign(lane.size(), 0);
+  } else {
+    for (uint8_t null : nulls) v.null_count_ += null != 0 ? 1 : 0;
+    v.nulls_ = std::move(nulls);
+  }
   v.ints_ = std::move(lane);
   return v;
 }

@@ -30,6 +30,18 @@ inline bool IsIntegerLike(TypeId t) {
          t == TypeId::kDate;
 }
 
+/// The one order of DOUBLE values: -0.0 equals 0.0, and NaN equals NaN
+/// and sorts above every other double (PostgreSQL's rule), so the order
+/// is total. Returns -1, 0 or 1.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  const bool a_nan = a != a;  // at least one side is NaN
+  const bool b_nan = b != b;
+  return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
+}
+
 /// A single (possibly NULL) typed value. Datum is a value type used at
 /// the API boundary (rows in/out, literals, stats); bulk execution uses
 /// ColumnVector lanes directly.
@@ -66,8 +78,9 @@ class Datum {
     return type_ == TypeId::kDouble ? double_ : static_cast<double>(int_);
   }
 
-  /// Total order: NULLs first, then by value. Comparing across
-  /// incompatible types is a programming error checked in debug.
+  /// Total order: NULLs first, then by value (doubles by
+  /// CompareDoubles; an integer against a double compares as doubles).
+  /// Comparing a string with a non-string is a programming error.
   int Compare(const Datum& other) const;
 
   bool operator==(const Datum& other) const { return Compare(other) == 0; }
@@ -101,9 +114,11 @@ class ColumnVector {
  public:
   explicit ColumnVector(TypeId type) : type_(type) {}
 
-  /// Wraps an already-built null-free lane without copying (codec
-  /// decode fast paths).
-  static ColumnVector TakeInts(TypeId type, std::vector<int64_t> lane);
+  /// Wraps an already-built lane without copying (codec decode fast
+  /// paths, lane kernels). `nulls` is one flag per value; empty means
+  /// null-free.
+  static ColumnVector TakeInts(TypeId type, std::vector<int64_t> lane,
+                               std::vector<uint8_t> nulls = {});
   static ColumnVector TakeDoubles(std::vector<double> lane);
   static ColumnVector TakeStrings(std::vector<std::string> lane);
 

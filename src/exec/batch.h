@@ -9,11 +9,16 @@
 namespace sdw::exec {
 
 /// The unit of vectorized execution: a set of equal-length column
-/// vectors.
+/// vectors. A batch with no columns still has rows: a scan that projects
+/// no column (a bare COUNT(*)) emits only row counts.
 struct Batch {
   std::vector<ColumnVector> columns;
+  /// The row count when `columns` is empty; ignored otherwise.
+  size_t rows = 0;
 
-  size_t num_rows() const { return columns.empty() ? 0 : columns[0].size(); }
+  size_t num_rows() const {
+    return columns.empty() ? rows : columns[0].size();
+  }
   size_t num_columns() const { return columns.size(); }
 
   std::vector<TypeId> Types() const {

@@ -1,5 +1,7 @@
 #include "exec/expr.h"
 
+#include <optional>
+#include <string_view>
 #include <utility>
 
 namespace sdw::exec {
@@ -42,6 +44,89 @@ bool ApplyCmp(CmpOp op, int cmp) {
   return false;
 }
 
+// ---------------------------------------------------------------------------
+// Lane kernels: value and null lanes in, pre-sized lanes out, with the
+// same answers EvalRow gives through Datum.
+// ---------------------------------------------------------------------------
+
+/// Three-way order of two non-NULL values, as Datum::Compare orders them.
+int Order(int64_t a, int64_t b) { return (a > b) - (a < b); }
+int Order(double a, double b) { return CompareDoubles(a, b); }
+int Order(std::string_view a, std::string_view b) { return a.compare(b); }
+
+/// out[i] = (left(i) op right(i)) ? 1 : 0 for i in [0, n), with one loop
+/// per operator so nothing is dispatched per row.
+template <typename L, typename R>
+void CompareLanes(CmpOp op, size_t n, L left, R right, int64_t* out) {
+  auto loop = [&](auto keep) {
+    for (size_t i = 0; i < n; ++i) out[i] = keep(Order(left(i), right(i)));
+  };
+  switch (op) {
+    case CmpOp::kEq:
+      return loop([](int c) { return c == 0; });
+    case CmpOp::kNe:
+      return loop([](int c) { return c != 0; });
+    case CmpOp::kLt:
+      return loop([](int c) { return c < 0; });
+    case CmpOp::kLe:
+      return loop([](int c) { return c <= 0; });
+    case CmpOp::kGt:
+      return loop([](int c) { return c > 0; });
+    case CmpOp::kGe:
+      return loop([](int c) { return c >= 0; });
+  }
+}
+
+/// CompareLanes against a right side read from `lane`, or against
+/// `value` on every row when `lane` is null (a literal).
+template <typename Value, typename Lane, typename L>
+void CompareTo(CmpOp op, size_t n, L left, const Lane* lane, Value value,
+               int64_t* out) {
+  if (lane != nullptr) {
+    CompareLanes(op, n, left, [lane](size_t i) -> Value { return lane[i]; },
+                 out);
+  } else {
+    CompareLanes(op, n, left, [value](size_t) { return value; }, out);
+  }
+}
+
+/// A numeric lane as doubles: a DOUBLE lane in place, an integer lane
+/// widened into `scratch` (Datum::Compare's promotion).
+const double* DoublesOf(const ColumnVector& col, std::vector<double>* scratch) {
+  if (col.type() == TypeId::kDouble) return col.doubles().data();
+  scratch->assign(col.ints().begin(), col.ints().end());
+  return scratch->data();
+}
+
+/// A BOOLEAN result from its value and null lanes; empty `nulls` means
+/// null-free. A NULL row's value is 0, as AppendNull leaves it.
+ColumnVector BoolLanes(std::vector<int64_t> values,
+                       std::vector<uint8_t> nulls) {
+  for (size_t i = 0; i < nulls.size(); ++i) values[i] &= nulls[i] ^ 1;
+  return ColumnVector::TakeInts(TypeId::kBool, std::move(values),
+                                std::move(nulls));
+}
+
+/// AND, OR and NOT take BOOLEAN (or other integer-lane) operands.
+Status CheckTruthType(TypeId type) {
+  if (IsIntegerLike(type)) return Status::OK();
+  return Status::InvalidArgument(std::string("boolean operator over ") +
+                                 TypeName(type));
+}
+
+/// Row i of an integer lane as SQL truth: `t` when TRUE (any nonzero
+/// value, as in EvalRow), `f` when FALSE, neither when NULL.
+struct Truth {
+  uint8_t t;
+  uint8_t f;
+};
+Truth TruthAt(const int64_t* values, const uint8_t* nulls, size_t i) {
+  const uint8_t known = nulls[i] ^ 1;
+  const uint8_t truthy = values[i] != 0 ? 1 : 0;
+  return {static_cast<uint8_t>(known & truthy),
+          static_cast<uint8_t>(known & (truthy ^ 1))};
+}
+
 class ColExpr : public Expr {
  public:
   ColExpr(int index, TypeId type) : index_(index), type_(type) {}
@@ -49,6 +134,15 @@ class ColExpr : public Expr {
   TypeId type() const override { return type_; }
 
   Result<ColumnVector> EvalBatch(const Batch& input) const override {
+    SDW_ASSIGN_OR_RETURN(const ColumnVector* col, Column(input));
+    ColumnVector copy(type_);
+    copy.Reserve(col->size());
+    SDW_RETURN_IF_ERROR(copy.AppendRange(*col, 0, col->size()));
+    return copy;
+  }
+
+  /// The referenced column of `input`, in place.
+  Result<const ColumnVector*> Column(const Batch& input) const {
     if (index_ < 0 ||
         static_cast<size_t>(index_) >= input.columns.size()) {
       return Status::InvalidArgument("column ref out of range");
@@ -57,10 +151,7 @@ class ColExpr : public Expr {
     if (col.type() != type_) {
       return Status::Internal("column ref type mismatch");
     }
-    ColumnVector copy(type_);
-    copy.Reserve(col.size());
-    SDW_RETURN_IF_ERROR(copy.AppendRange(col, 0, col.size()));
-    return copy;
+    return &col;
   }
 
   Result<Datum> EvalRow(const Row& row) const override {
@@ -73,8 +164,6 @@ class ColExpr : public Expr {
   std::string ToString() const override {
     return "$" + std::to_string(index_);
   }
-
-  int index() const { return index_; }
 
  private:
   int index_;
@@ -114,63 +203,74 @@ class CmpExpr : public Expr {
 
   TypeId type() const override { return TypeId::kBool; }
 
+  // The type-specialized lane kernels of the compiled engine (§2.1);
+  // the contrast with EvalRow's per-value Datum dispatch is the point of
+  // bench A5. A column reference is read in place and a literal as one
+  // value, so the common column <op> literal shape copies nothing.
   Result<ColumnVector> EvalBatch(const Batch& input) const override {
-    // Specialized kernel for the dominant predicate shape, column <op>
-    // integer literal over a null-free lane: no column copy, no literal
-    // materialization — the "compiled" tight loop of §2.1.
-    if (const auto* col_ref = dynamic_cast<const ColExpr*>(left_.get())) {
-      if (const auto* lit = dynamic_cast<const LitExpr*>(right_.get())) {
-        const int idx = col_ref->index();
-        if (idx >= 0 && static_cast<size_t>(idx) < input.columns.size()) {
-          const ColumnVector& col = input.columns[idx];
-          const Datum& rhs = lit->value();
-          if (IsIntegerLike(col.type()) && !col.has_nulls() &&
-              !rhs.is_null() && IsIntegerLike(rhs.type())) {
-            const int64_t pivot = rhs.int_value();
-            const auto& lane = col.ints();
-            ColumnVector out(TypeId::kBool);
-            out.Reserve(lane.size());
-            for (int64_t v : lane) {
-              int cmp = v < pivot ? -1 : (v > pivot ? 1 : 0);
-              out.AppendInt(ApplyCmp(op_, cmp) ? 1 : 0);
-            }
-            return out;
-          }
-        }
-      }
+    std::optional<ColumnVector> left_scratch;
+    SDW_ASSIGN_OR_RETURN(const ColumnVector* l,
+                         LaneOf(*left_, input, &left_scratch));
+    const auto* lit = dynamic_cast<const LitExpr*>(right_.get());
+    std::optional<ColumnVector> right_scratch;
+    const ColumnVector* r = nullptr;
+    if (lit == nullptr) {
+      SDW_ASSIGN_OR_RETURN(r, LaneOf(*right_, input, &right_scratch));
     }
-    SDW_ASSIGN_OR_RETURN(ColumnVector l, left_->EvalBatch(input));
-    SDW_ASSIGN_OR_RETURN(ColumnVector r, right_->EvalBatch(input));
-    ColumnVector out(TypeId::kBool);
-    out.Reserve(l.size());
-    // Type-specialized fast paths: the contrast with EvalRow's
-    // per-value Datum dispatch is the point of bench A5.
-    if (l.type() != TypeId::kString && r.type() != TypeId::kString &&
-        l.type() != TypeId::kDouble && r.type() != TypeId::kDouble &&
-        !l.has_nulls() && !r.has_nulls()) {
-      const auto& lv = l.ints();
-      const auto& rv = r.ints();
-      for (size_t i = 0; i < lv.size(); ++i) {
-        int cmp = lv[i] < rv[i] ? -1 : (lv[i] > rv[i] ? 1 : 0);
-        out.AppendInt(ApplyCmp(op_, cmp) ? 1 : 0);
-      }
-      return out;
+    const size_t n = l->size();
+    std::vector<int64_t> values(n);
+    if (lit != nullptr && lit->value().is_null()) {
+      return BoolLanes(std::move(values), std::vector<uint8_t>(n, 1));
     }
-    for (size_t i = 0; i < l.size(); ++i) {
-      if (l.IsNull(i) || r.IsNull(i)) {
-        out.AppendNull();
-      } else {
-        out.AppendInt(
-            ApplyCmp(op_, l.DatumAt(i).Compare(r.DatumAt(i))) ? 1 : 0);
-      }
+    const TypeId lt = l->type();
+    const TypeId rt = r != nullptr ? r->type() : lit->value().type();
+    if ((lt == TypeId::kString) != (rt == TypeId::kString)) {
+      return Status::InvalidArgument(std::string("cannot compare ") +
+                                     TypeName(lt) + " with " + TypeName(rt));
     }
-    return out;
+    int64_t* out = values.data();
+    if (lt == TypeId::kString) {
+      const std::string* lv = l->strings().data();
+      CompareTo<std::string_view>(
+          op_, n, [lv](size_t i) { return std::string_view(lv[i]); },
+          r != nullptr ? r->strings().data() : nullptr,
+          r != nullptr ? std::string_view() : lit->value().string_value(),
+          out);
+    } else if (lt == TypeId::kDouble || rt == TypeId::kDouble) {
+      std::vector<double> lwide;
+      std::vector<double> rwide;
+      const double* lv = DoublesOf(*l, &lwide);
+      CompareTo<double>(op_, n, [lv](size_t i) { return lv[i]; },
+                        r != nullptr ? DoublesOf(*r, &rwide) : nullptr,
+                        r != nullptr ? 0.0 : lit->value().AsDouble(), out);
+    } else {
+      const int64_t* lv = l->ints().data();
+      CompareTo<int64_t>(op_, n, [lv](size_t i) { return lv[i]; },
+                         r != nullptr ? r->ints().data() : nullptr,
+                         r != nullptr ? 0 : lit->value().int_value(), out);
+    }
+    // NULL on either side compares to NULL.
+    const bool right_nulls = r != nullptr && r->has_nulls();
+    if (!l->has_nulls() && !right_nulls) {
+      return BoolLanes(std::move(values), {});
+    }
+    std::vector<uint8_t> nulls(l->nulls());
+    if (right_nulls) {
+      const uint8_t* rn = r->nulls().data();
+      for (size_t i = 0; i < n; ++i) nulls[i] |= rn[i];
+    }
+    return BoolLanes(std::move(values), std::move(nulls));
   }
 
   Result<Datum> EvalRow(const Row& row) const override {
     SDW_ASSIGN_OR_RETURN(Datum l, left_->EvalRow(row));
     SDW_ASSIGN_OR_RETURN(Datum r, right_->EvalRow(row));
     if (l.is_null() || r.is_null()) return Datum::Null();
+    if ((l.type() == TypeId::kString) != (r.type() == TypeId::kString)) {
+      return Status::InvalidArgument(std::string("cannot compare ") +
+                                     TypeName(l.type()) + " with " +
+                                     TypeName(r.type()));
+    }
     return Datum::Bool(ApplyCmp(op_, l.Compare(r)));
   }
 
@@ -180,6 +280,18 @@ class CmpExpr : public Expr {
   }
 
  private:
+  /// The lane `expr` yields over `input`: a column reference's lane in
+  /// place, anything else evaluated into `*scratch`.
+  static Result<const ColumnVector*> LaneOf(
+      const Expr& expr, const Batch& input,
+      std::optional<ColumnVector>* scratch) {
+    if (const auto* col = dynamic_cast<const ColExpr*>(&expr)) {
+      return col->Column(input);
+    }
+    SDW_ASSIGN_OR_RETURN(ColumnVector v, expr.EvalBatch(input));
+    return &scratch->emplace(std::move(v));
+  }
+
   CmpOp op_;
   ExprPtr left_;
   ExprPtr right_;
@@ -194,20 +306,45 @@ class BoolExpr : public Expr {
 
   TypeId type() const override { return TypeId::kBool; }
 
+  // SQL three-valued logic lane by lane: AND is FALSE if either side
+  // is FALSE, TRUE if both are TRUE, else NULL; OR mirrors it.
   Result<ColumnVector> EvalBatch(const Batch& input) const override {
     SDW_ASSIGN_OR_RETURN(ColumnVector l, left_->EvalBatch(input));
     SDW_ASSIGN_OR_RETURN(ColumnVector r, right_->EvalBatch(input));
-    ColumnVector out(TypeId::kBool);
-    out.Reserve(l.size());
-    for (size_t i = 0; i < l.size(); ++i) {
-      SDW_RETURN_IF_ERROR(out.AppendDatum(Combine(l.DatumAt(i), r.DatumAt(i))));
+    SDW_RETURN_IF_ERROR(CheckTruthType(l.type()));
+    SDW_RETURN_IF_ERROR(CheckTruthType(r.type()));
+    const size_t n = l.size();
+    const int64_t* lv = l.ints().data();
+    const int64_t* rv = r.ints().data();
+    std::vector<int64_t> values(n);
+    const bool is_and = op_ == BoolOp::kAnd;
+    if (!l.has_nulls() && !r.has_nulls()) {  // two-valued on null-free lanes
+      if (is_and) {
+        for (size_t i = 0; i < n; ++i) values[i] = (lv[i] != 0) & (rv[i] != 0);
+      } else {
+        for (size_t i = 0; i < n; ++i) values[i] = (lv[i] != 0) | (rv[i] != 0);
+      }
+      return BoolLanes(std::move(values), {});
     }
-    return out;
+    const uint8_t* ln = l.nulls().data();
+    const uint8_t* rn = r.nulls().data();
+    std::vector<uint8_t> nulls(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Truth a = TruthAt(lv, ln, i);
+      const Truth b = TruthAt(rv, rn, i);
+      const uint8_t t = is_and ? a.t & b.t : a.t | b.t;
+      const uint8_t f = is_and ? a.f | b.f : a.f & b.f;
+      values[i] = t;
+      nulls[i] = (t | f) ^ 1;
+    }
+    return BoolLanes(std::move(values), std::move(nulls));
   }
 
   Result<Datum> EvalRow(const Row& row) const override {
     SDW_ASSIGN_OR_RETURN(Datum l, left_->EvalRow(row));
     SDW_ASSIGN_OR_RETURN(Datum r, right_->EvalRow(row));
+    SDW_RETURN_IF_ERROR(CheckTruthType(left_->type()));
+    SDW_RETURN_IF_ERROR(CheckTruthType(right_->type()));
     return Combine(l, r);
   }
 
@@ -247,20 +384,18 @@ class NotExpr : public Expr {
 
   Result<ColumnVector> EvalBatch(const Batch& input) const override {
     SDW_ASSIGN_OR_RETURN(ColumnVector v, input_->EvalBatch(input));
-    ColumnVector out(TypeId::kBool);
-    out.Reserve(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      if (v.IsNull(i)) {
-        out.AppendNull();
-      } else {
-        out.AppendInt(v.IntAt(i) == 0 ? 1 : 0);
-      }
-    }
-    return out;
+    SDW_RETURN_IF_ERROR(CheckTruthType(v.type()));
+    const size_t n = v.size();
+    const int64_t* lane = v.ints().data();
+    const uint8_t* nulls = v.nulls().data();
+    std::vector<int64_t> values(n);
+    for (size_t i = 0; i < n; ++i) values[i] = TruthAt(lane, nulls, i).f;
+    return BoolLanes(std::move(values), v.nulls());
   }
 
   Result<Datum> EvalRow(const Row& row) const override {
     SDW_ASSIGN_OR_RETURN(Datum v, input_->EvalRow(row));
+    SDW_RETURN_IF_ERROR(CheckTruthType(input_->type()));
     if (v.is_null()) return Datum::Null();
     return Datum::Bool(v.int_value() == 0);
   }

@@ -18,8 +18,14 @@ uint64_t DoubleBits(double d) {
   return bits;
 }
 
-/// Maps -0.0's bits to 0.0's, so equal doubles have equal keys.
-uint64_t NormalizedBits(uint64_t bits) { return bits << 1 == 0 ? 0 : bits; }
+/// Maps -0.0's bits to 0.0's and every NaN's to one quiet NaN's, so
+/// doubles equal under CompareDoubles have equal keys and hashes.
+uint64_t NormalizedBits(uint64_t bits) {
+  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
+  if (bits << 1 == 0) return 0;
+  if ((bits & ~(1ull << 63)) > kExponent) return DoubleBits(__builtin_nan(""));
+  return bits;
+}
 
 const uint8_t* NullsOf(const ColumnVector& col) {
   return col.has_nulls() ? col.nulls().data() : nullptr;
@@ -322,6 +328,12 @@ class CountStates final : public AggStates {
     return Status::OK();
   }
 
+  Status UpdateSingleGroup(const ColumnVector* input, size_t n) override {
+    counts_[0] += static_cast<int64_t>(
+        n - (input == nullptr ? 0 : input->null_count()));
+    return Status::OK();
+  }
+
   // Partial counts add up.
   Status Merge(const ColumnVector& partial, const uint32_t* ids) override {
     const int64_t* v = partial.ints().data();
@@ -353,11 +365,20 @@ struct SumFold {
 };
 
 /// MIN (kMax false) or MAX; on ties the first value seen stays.
+/// Doubles order by CompareDoubles, so NaN is the largest value.
 template <bool kMax>
 struct ExtremeFold {
   template <typename T>
+  static bool Less(const T& a, const T& b) {
+    if constexpr (std::is_same_v<T, double>) {
+      return CompareDoubles(a, b) < 0;
+    } else {
+      return a < b;
+    }
+  }
+  template <typename T>
   static bool Apply(bool has, const T& v, T* acc) {
-    if (!has || (kMax ? *acc < v : v < *acc)) *acc = v;
+    if (!has || (kMax ? Less(*acc, v) : Less(v, *acc))) *acc = v;
     return true;
   }
 };
@@ -374,17 +395,11 @@ class FoldStates final : public AggStates {
 
   Status Update(const ColumnVector* input, const uint32_t* ids,
                 size_t n) override {
-    const T* v = LaneOf<T>(*input);
-    const uint8_t* nulls = NullsOf(*input);
-    for (size_t i = 0; i < n; ++i) {
-      if (nulls != nullptr && nulls[i] != 0) continue;
-      const uint32_t g = ids[i];
-      if (!Fold::Apply(has_[g] != 0, v[i], &values_[g])) {
-        return Status::OutOfRange("integer SUM overflows BIGINT");
-      }
-      has_[g] = 1;
-    }
-    return Status::OK();
+    return FoldRows(*input, n, [ids](size_t i) { return ids[i]; });
+  }
+
+  Status UpdateSingleGroup(const ColumnVector* input, size_t n) override {
+    return FoldRows(*input, n, [](size_t) { return 0u; });
   }
 
   Status Merge(const ColumnVector& partial, const uint32_t* ids) override {
@@ -402,6 +417,22 @@ class FoldStates final : public AggStates {
   }
 
  private:
+  /// Folds input rows [0, n) into groups group_of(i).
+  template <typename GroupOf>
+  Status FoldRows(const ColumnVector& input, size_t n, GroupOf group_of) {
+    const T* v = LaneOf<T>(input);
+    const uint8_t* nulls = NullsOf(input);
+    for (size_t i = 0; i < n; ++i) {
+      if (nulls != nullptr && nulls[i] != 0) continue;
+      const uint32_t g = group_of(i);
+      if (!Fold::Apply(has_[g] != 0, v[i], &values_[g])) {
+        return Status::OutOfRange("integer SUM overflows BIGINT");
+      }
+      has_[g] = 1;
+    }
+    return Status::OK();
+  }
+
   std::vector<T> values_;
   std::vector<uint8_t> has_;
 };
@@ -414,11 +445,12 @@ class ApproxDistinctStates final : public AggStates {
 
   Status Update(const ColumnVector* input, const uint32_t* ids,
                 size_t n) override {
-    HashColumn(*input, &hashes_);
-    const uint8_t* nulls = NullsOf(*input);
-    for (size_t i = 0; i < n; ++i) {
-      if (nulls == nullptr || nulls[i] == 0) Sketch(ids[i])->Add(hashes_[i]);
-    }
+    AddRows(*input, n, [ids](size_t i) { return ids[i]; });
+    return Status::OK();
+  }
+
+  Status UpdateSingleGroup(const ColumnVector* input, size_t n) override {
+    AddRows(*input, n, [](size_t) { return 0u; });
     return Status::OK();
   }
 
@@ -447,6 +479,18 @@ class ApproxDistinctStates final : public AggStates {
   HyperLogLog* Sketch(uint32_t g) {
     if (!sketches_[g]) sketches_[g] = std::make_unique<HyperLogLog>();
     return sketches_[g].get();
+  }
+
+  /// Adds the non-NULL values of input rows [0, n) to groups group_of(i).
+  template <typename GroupOf>
+  void AddRows(const ColumnVector& input, size_t n, GroupOf group_of) {
+    HashColumn(input, &hashes_);
+    const uint8_t* nulls = NullsOf(input);
+    for (size_t i = 0; i < n; ++i) {
+      if (nulls == nullptr || nulls[i] == 0) {
+        Sketch(group_of(i))->Add(hashes_[i]);
+      }
+    }
   }
 
   std::vector<std::unique_ptr<HyperLogLog>> sketches_;

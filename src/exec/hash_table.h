@@ -30,9 +30,10 @@ void HashRows(const Batch& batch, const std::vector<int>& keys,
 /// Open-addressing map from key tuples to dense ids 0, 1, ... assigned
 /// in first-seen order. Keys are stored column by column in fixed-width
 /// lanes: integer-like types share the int64 lane (an INT32 key equals a
-/// BIGINT key), DOUBLE keeps its bits and compares -0.0 equal to 0.0,
-/// and VARCHAR bytes live in one arena and compare by value. The slot
-/// array doubles as distinct keys arrive, never with input rows.
+/// BIGINT key), DOUBLE keeps its bits and compares -0.0 equal to 0.0
+/// and NaN equal to NaN (as CompareDoubles does), and VARCHAR bytes live
+/// in one arena and compare by value. The slot array doubles as distinct
+/// keys arrive, never with input rows.
 class KeyTable {
  public:
   static constexpr uint32_t kNoId = UINT32_MAX;
@@ -118,6 +119,10 @@ class AggStates {
   /// COUNT(*).
   virtual Status Update(const ColumnVector* input, const uint32_t* ids,
                         size_t n) = 0;
+
+  /// Folds `n` input rows into group 0, for an aggregate without GROUP
+  /// BY: no id array, and COUNT costs O(1) per batch.
+  virtual Status UpdateSingleGroup(const ColumnVector* input, size_t n) = 0;
 
   /// Folds one kPartial output column into groups ids.
   virtual Status Merge(const ColumnVector& partial, const uint32_t* ids) = 0;

@@ -14,6 +14,7 @@ Result<Batch> Collect(Operator* op) {
   while (true) {
     SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, op->Next());
     if (!batch.has_value()) break;
+    out.rows += batch->num_rows();
     for (size_t c = 0; c < out.columns.size(); ++c) {
       SDW_RETURN_IF_ERROR(out.columns[c].AppendRange(
           batch->columns[c], 0, batch->columns[c].size()));
@@ -89,21 +90,28 @@ class ShardScanOp : public Operator {
         offset_ = 0;
         continue;
       }
+      // A scan that projects no column reads no block: each candidate
+      // range becomes one batch of its row count, from chain metadata.
       const uint64_t begin = range.begin + offset_;
       const uint64_t end =
-          std::min<uint64_t>(range.end, begin + options_.batch_rows);
+          columns_.empty()
+              ? range.end
+              : std::min<uint64_t>(range.end, begin + options_.batch_rows);
       offset_ += end - begin;
-      SDW_ASSIGN_OR_RETURN(
-          std::vector<ColumnVector> cols,
-          ref_.shard->ReadRange(*ref_.version, columns_, {begin, end}));
+      Batch batch;
+      if (columns_.empty()) {
+        batch.rows = end - begin;
+      } else {
+        SDW_ASSIGN_OR_RETURN(
+            batch.columns,
+            ref_.shard->ReadRange(*ref_.version, columns_, {begin, end}));
+      }
       if (options_.telemetry != nullptr) {
         options_.telemetry->rows_scanned += end - begin;
       }
       if (options_.progress != nullptr) {
         options_.progress->AddRowsScanned(end - begin);
       }
-      Batch batch;
-      batch.columns = std::move(cols);
       return std::optional<Batch>(std::move(batch));
     }
     return std::optional<Batch>();
@@ -388,12 +396,26 @@ class HashAggregateOp : public Operator {
       SDW_ASSIGN_OR_RETURN(states.emplace_back(),
                            MakeAggStates(aggs_[a].fn, AggInputType(a)));
     }
+    // Without GROUP BY, kSingle and kPartial fold every row into one
+    // group: no hash, no key table, no id array.
+    const bool one_group = group_by_.empty() && mode_ != AggMode::kFinal;
+    if (one_group) {
+      for (auto& s : states) s->Resize(1);
+    }
     std::vector<uint64_t> hashes;
     std::vector<uint32_t> ids;
     while (true) {
       SDW_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->Next());
       if (!batch.has_value()) break;
       const size_t n = batch->num_rows();
+      if (one_group) {
+        for (size_t a = 0; a < aggs_.size(); ++a) {
+          const int c = aggs_[a].column;
+          SDW_RETURN_IF_ERROR(states[a]->UpdateSingleGroup(
+              c < 0 ? nullptr : &batch->columns[c], n));
+        }
+        continue;
+      }
       HashRows(*batch, group_by_, &hashes);
       ids.resize(n);
       table.Insert(*batch, group_by_, hashes.data(), ids.data());
@@ -524,6 +546,7 @@ class LimitOp : public Operator {
       return batch;
     }
     Batch out = MakeBatch(batch->Types());
+    out.rows = remaining_;
     for (size_t c = 0; c < batch->columns.size(); ++c) {
       SDW_RETURN_IF_ERROR(
           out.columns[c].AppendRange(batch->columns[c], 0, remaining_));

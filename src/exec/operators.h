@@ -53,7 +53,9 @@ struct ScanTelemetry {
 
 /// Scans a table shard: zone-map pruning from the range predicates,
 /// then batch-wise decode of the surviving row ranges. `columns` picks
-/// and orders the projected columns.
+/// and orders the projected columns. With no column (a bare COUNT(*))
+/// the scan reads no block: each candidate range becomes one batch that
+/// carries only its row count, taken from the pinned version's chains.
 struct ScanOptions {
   size_t batch_rows = 4096;
   /// Optional telemetry sink; must outlive the operator. Each slice's
@@ -105,9 +107,10 @@ enum class AggMode { kSingle, kPartial, kFinal };
 
 /// Hash aggregation grouped by `group_by` columns. Output: group
 /// columns, then one column per agg, one row per group in first-seen
-/// order (NULL keys group together). In kFinal mode the input must have
-/// the kPartial output layout. An integer SUM that overflows fails with
-/// OutOfRange.
+/// order (NULL keys group together). Without GROUP BY, kSingle and
+/// kPartial fold each batch straight into the one group, with no hash
+/// or key table. In kFinal mode the input must have the kPartial output
+/// layout. An integer SUM that overflows fails with OutOfRange.
 OperatorPtr HashAggregate(OperatorPtr input, std::vector<int> group_by,
                           std::vector<AggSpec> aggs,
                           AggMode mode = AggMode::kSingle);

@@ -31,10 +31,13 @@ class RowScanOp : public RowOperator {
       const uint64_t rows = ref_.version->row_count;
       if (next_row_ >= rows) return std::optional<Row>();
       const uint64_t end = std::min<uint64_t>(rows, next_row_ + 4096);
-      SDW_ASSIGN_OR_RETURN(
-          std::vector<ColumnVector> cols,
-          ref_.shard->ReadRange(*ref_.version, columns_, {next_row_, end}));
-      batch_.columns = std::move(cols);
+      // With no column projected, the batch is only its row count.
+      batch_.rows = end - next_row_;
+      if (!columns_.empty()) {
+        SDW_ASSIGN_OR_RETURN(
+            batch_.columns,
+            ref_.shard->ReadRange(*ref_.version, columns_, {next_row_, end}));
+      }
       next_row_ = end;
       row_in_batch_ = 0;
     }

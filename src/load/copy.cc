@@ -86,11 +86,13 @@ Result<CopyStats> CopyExecutor::CopyFromPayloads(
         return Status::OK();
       }));
 
+  // A malformed file fails the whole COPY before any row is inserted.
+  for (const auto& file : parsed) SDW_RETURN_IF_ERROR(file->status());
+
   bool analyzer_ran = false;
   for (size_t f = 0; f < payloads.size(); ++f) {
     ++stats.files;
     stats.input_bytes += payloads[f].size();
-    if (!parsed[f]->ok()) return parsed[f]->status();
     const std::vector<ColumnVector>& columns = **parsed[f];
     if (columns.empty() || columns[0].size() == 0) continue;
     if (options.compupdate && !analyzer_ran) {

@@ -1,27 +1,38 @@
 #include "load/formats.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace sdw::load {
 
 namespace {
 
+/// Parses one CSV field into `column`. A number must be the whole field
+/// and fit its type: "12x", " 12", "2.5abc" and "99999999999999999999"
+/// are errors, never a silently truncated value.
 Status AppendField(ColumnVector* column, TypeId type,
                    const std::string& field, bool was_quoted) {
   if (!was_quoted && (field.empty() || field == "\\N")) {
     column->AppendNull();
     return Status::OK();
   }
+  // strtod and strtoll skip leading white space; a number may not.
+  const bool padded =
+      !field.empty() && std::isspace(static_cast<unsigned char>(field[0]));
   switch (type) {
     case TypeId::kString:
       column->AppendString(field);
       return Status::OK();
     case TypeId::kDouble: {
       char* end = nullptr;
+      errno = 0;
       double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str()) {
+      if (padded || end == field.c_str() || *end != '\0') {
         return Status::InvalidArgument("bad double '" + field + "'");
+      }
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("double out of range '" + field + "'");
       }
       column->AppendDouble(v);
       return Status::OK();
@@ -37,9 +48,15 @@ Status AppendField(ColumnVector* column, TypeId type,
       return Status::OK();
     default: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str()) {
+      if (padded || end == field.c_str() || *end != '\0') {
         return Status::InvalidArgument("bad integer '" + field + "'");
+      }
+      const bool narrow = type == TypeId::kInt32 || type == TypeId::kDate;
+      if (errno == ERANGE || (narrow && v != static_cast<int32_t>(v))) {
+        return Status::InvalidArgument("integer out of range '" + field +
+                                       "'");
       }
       column->AppendInt(v);
       return Status::OK();
@@ -58,10 +75,19 @@ Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
   size_t i = 0;
   const size_t n = text.size();
   size_t line = 1;
+  // A line ends at "\n" or "\r\n": a CRLF file loads like its LF twin,
+  // with no '\r' left in the last field.
+  auto at_line_end = [&](size_t at) {
+    return text[at] == '\n' ||
+           (text[at] == '\r' && at + 1 < n && text[at + 1] == '\n');
+  };
+  auto skip_line_end = [&] {
+    i += text[i] == '\r' ? 2 : 1;
+    ++line;
+  };
   while (i < n) {
-    if (text[i] == '\n') {  // skip blank lines
-      ++i;
-      ++line;
+    if (at_line_end(i)) {  // skip blank lines
+      skip_line_end();
       continue;
     }
     size_t field_index = 0;
@@ -88,13 +114,18 @@ Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
           field.push_back(text[i++]);
         }
       } else {
-        while (i < n && text[i] != ',' && text[i] != '\n') {
+        while (i < n && text[i] != ',' && !at_line_end(i)) {
           field.push_back(text[i++]);
         }
       }
-      SDW_RETURN_IF_ERROR(AppendField(
-          &columns[field_index], schema.column(field_index).type, field,
-          quoted));
+      const ColumnDef& def = schema.column(field_index);
+      Status parsed =
+          AppendField(&columns[field_index], def.type, field, quoted);
+      if (!parsed.ok()) {
+        return Status::InvalidArgument(parsed.message() + " at line " +
+                                       std::to_string(line) + ", column '" +
+                                       def.name + "'");
+      }
       ++field_index;
       if (i < n && text[i] == ',') {
         ++i;
@@ -107,12 +138,11 @@ Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
                                      std::to_string(line));
     }
     if (i < n) {
-      if (text[i] != '\n') {
+      if (!at_line_end(i)) {
         return Status::InvalidArgument("malformed row at line " +
                                        std::to_string(line));
       }
-      ++i;
-      ++line;
+      skip_line_end();
     }
   }
   return columns;
@@ -252,8 +282,10 @@ Result<std::vector<std::pair<std::string, Datum>>> ParseJsonObject(
       if (endp == begin) {
         return Status::InvalidArgument("bad JSON value");
       }
-      // Integral numbers become int64 so they bind to int columns.
-      if (d == static_cast<double>(static_cast<int64_t>(d)) &&
+      // Integral numbers within BIGINT become int64 so they bind to int
+      // columns; larger ones stay doubles, which an int column rejects.
+      if (d >= -0x1p63 && d < 0x1p63 &&
+          d == static_cast<double>(static_cast<int64_t>(d)) &&
           std::string(begin, static_cast<const char*>(endp)).find('.') ==
               std::string::npos) {
         value = Datum::Int64(static_cast<int64_t>(d));
@@ -313,8 +345,13 @@ Result<std::vector<ColumnVector>> ParseJsonLines(const std::string& text,
     for (size_t c = 0; c < columns.size(); ++c) {
       if (!present[c]) {
         columns[c].AppendNull();
-      } else {
-        SDW_RETURN_IF_ERROR(columns[c].AppendDatum(values[c]));
+        continue;
+      }
+      Status appended = columns[c].AppendDatum(values[c]);
+      if (!appended.ok()) {
+        return Status::InvalidArgument(
+            appended.message() + " at line " + std::to_string(line_no) +
+            ", column '" + schema.column(c).name + "'");
       }
     }
     ++line_no;

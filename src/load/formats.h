@@ -10,9 +10,11 @@
 
 namespace sdw::load {
 
-/// Parses CSV text into column vectors matching the schema. Rows are
-/// newline-separated; fields comma-separated; an empty field or \N is
-/// NULL; double-quoted fields may contain commas and doubled quotes.
+/// Parses CSV text into column vectors matching the schema. Rows end at
+/// "\n" or "\r\n"; fields are comma-separated; an empty field or \N is
+/// NULL; double-quoted fields may contain commas and doubled quotes. A
+/// numeric field must be one whole number that fits its column's type;
+/// anything else is InvalidArgument naming the line and the column.
 Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
                                            const TableSchema& schema);
 

@@ -89,6 +89,34 @@ bool ZonePredicateFor(LogicalCmp op, const Datum& lit, Datum* lo, Datum* hi) {
   return false;
 }
 
+/// A WHERE literal must be comparable with its column: VARCHAR with
+/// VARCHAR, numbers and dates with each other (a NULL literal with
+/// anything). LIKE takes a VARCHAR column.
+Status CheckComparable(const Selection& sel, TypeId column_type) {
+  const bool is_string = column_type == TypeId::kString;
+  auto check = [&](const Datum& v) {
+    if (v.is_null() || (v.type() == TypeId::kString) == is_string) {
+      return Status::OK();
+    }
+    return Status::InvalidArgument(
+        std::string("cannot compare ") + TypeName(column_type) +
+        " column '" + sel.column.ToString() + "' with " + v.ToString());
+  };
+  switch (sel.kind) {
+    case Selection::Kind::kCompare:
+      return check(sel.literal);
+    case Selection::Kind::kBetween:
+      SDW_RETURN_IF_ERROR(check(sel.literal));
+      return check(sel.literal2);
+    case Selection::Kind::kIn:
+      for (const Datum& v : sel.in_list) SDW_RETURN_IF_ERROR(check(v));
+      return Status::OK();
+    case Selection::Kind::kLikePrefix:
+      return check(Datum::String(sel.like_prefix));
+  }
+  return Status::OK();
+}
+
 TypeId AggOutputType(const exec::AggSpec& spec, TypeId input_type) {
   switch (spec.fn) {
     case exec::AggFn::kCount:
@@ -208,6 +236,8 @@ Result<PhysicalQuery> Planner::Plan(const LogicalQuery& query) const {
   std::vector<storage::RangePredicate> build_zone;
   for (const Selection& sel : query.where) {
     SDW_ASSIGN_OR_RETURN(Bound b, resolve(sel.column));
+    SDW_RETURN_IF_ERROR(CheckComparable(
+        sel, (b.is_build ? *build : probe).TypeAt(b.scan_pos)));
     residuals.push_back({b, sel});
     // Conservative zone-map bounds per conjunct kind; the residual
     // filter guarantees exactness.
@@ -284,10 +314,8 @@ Result<PhysicalQuery> Planner::Plan(const LogicalQuery& query) const {
   }
 
   // --- Assemble the physical query. ---
-  // A pure COUNT(*) binds nothing; scan one column so row counts flow.
-  if (probe.columns().empty()) {
-    SDW_RETURN_IF_ERROR(probe.Bind(probe_schema.column(0).name).status());
-  }
+  // A bare COUNT(*) binds no column: its scan reads no block and counts
+  // rows from chain metadata.
   PhysicalQuery physical;
   physical.scan.table = query.from_table;
   physical.scan.columns = probe.columns();

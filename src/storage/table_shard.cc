@@ -304,7 +304,12 @@ Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
     cache_order_.clear();
   }
   auto it = decode_cache_.find(meta.id);
-  if (it != decode_cache_.end()) return it->second;
+  if (it != decode_cache_.end()) {
+    // A hit makes the block the most recently used.
+    auto pos = std::find(cache_order_.begin(), cache_order_.end(), meta.id);
+    std::rotate(pos, pos + 1, cache_order_.end());
+    return it->second;
+  }
   SDW_ASSIGN_OR_RETURN(Bytes data, store_->Get(meta.id));
   SDW_ASSIGN_OR_RETURN(ColumnVector decoded,
                        compress::DecodeColumn(meta.encoding, type, data));
@@ -315,7 +320,11 @@ Result<std::shared_ptr<const ColumnVector>> TableShard::DecodeBlock(
       obs::Registry::Global().counter("sdw_storage_blocks_decoded");
   decoded_metric->Add();
   auto shared = std::make_shared<const ColumnVector>(std::move(decoded));
-  // FIFO eviction keeps memory bounded even for huge scans.
+  // Evicting the least recently used block keeps memory bounded even
+  // for huge scans. Whether a read hits then depends only on the
+  // blocks read since that block's last read, so a repeating mix of
+  // scans cannot settle into long-lived phases with different hit
+  // rates, as it did under FIFO (DESIGN.md §4m).
   constexpr size_t kCacheCapacity = 64;
   if (cache_order_.size() >= kCacheCapacity) {
     decode_cache_.erase(cache_order_.front());

@@ -257,8 +257,9 @@ class TableShard {
   Result<PreparedVersion> BuildVersion(
       std::vector<std::vector<BlockMeta>> chains) const;
 
-  /// Reads + decodes one block, serving repeat reads from a small FIFO
-  /// cache (scans pull overlapping blocks once, not once per batch).
+  /// Reads + decodes one block, serving repeat reads from a small
+  /// least-recently-used cache (scans pull overlapping blocks once, not
+  /// once per batch).
   Result<std::shared_ptr<const ColumnVector>> DecodeBlock(
       const BlockMeta& meta, TypeId type) SDW_EXCLUDES(cache_mu_);
 
@@ -290,7 +291,7 @@ class TableShard {
   /// head_mu_ together with head_.
   std::atomic<uint64_t> head_stamp_{0};
 
-  /// The decode cache and its FIFO order are the only shard state
+  /// The decode cache and its recency order are the only shard state
   /// mutated by reads, so they carry the shard's read-path lock. Block
   /// ids are process-unique and blocks immutable, so a cached decode is
   /// never stale and the cache lives across queries. Holding the lock
@@ -304,6 +305,7 @@ class TableShard {
   mutable common::Mutex cache_mu_{common::LockRank::kShardDecodeCache};
   std::map<BlockId, std::shared_ptr<const ColumnVector>> decode_cache_
       SDW_GUARDED_BY(cache_mu_);
+  /// Cached block ids, least recently used first.
   std::vector<BlockId> cache_order_ SDW_GUARDED_BY(cache_mu_);
 };
 

@@ -428,6 +428,7 @@ Result<SystemQueryResult> ExecuteSystemQuery(const plan::LogicalQuery& query,
   types.reserve(phys.scan.columns.size());
   for (int c : phys.scan.columns) types.push_back(schema.column(c).type);
   exec::Batch projected = exec::MakeBatch(types);
+  projected.rows = data.num_rows();  // what a bare COUNT(*) counts
   for (size_t i = 0; i < phys.scan.columns.size(); ++i) {
     const ColumnVector& src = data.columns[phys.scan.columns[i]];
     SDW_RETURN_IF_ERROR(projected.columns[i].AppendRange(src, 0, src.size()));

@@ -118,17 +118,27 @@ std::unique_ptr<cluster::Cluster> MakeLoadedCluster(size_t rows = 2000) {
   return c;
 }
 
-uint64_t CountEvents(cluster::Cluster* c) {
+/// Runs COUNT(column) over events, or a bare COUNT(*) when `column` is
+/// empty (which reads no block).
+cluster::QueryResult RunCount(cluster::Cluster* c,
+                              const std::string& column = "") {
   plan::LogicalQuery q;
   q.from_table = "events";
-  q.select = {{plan::LogicalAggFn::kCountStar, {}, "n"}};
+  q.select = {{column.empty() ? plan::LogicalAggFn::kCountStar
+                              : plan::LogicalAggFn::kCount,
+               {"", column},
+               "n"}};
   plan::Planner planner(c->catalog());
   auto physical = planner.Plan(q);
   SDW_CHECK(physical.ok());
   cluster::QueryExecutor executor(c);
   auto r = executor.Execute(*physical);
   SDW_CHECK(r.ok()) << r.status();
-  return static_cast<uint64_t>(r->rows.columns[0].IntAt(0));
+  return std::move(*r);
+}
+
+uint64_t CountEvents(cluster::Cluster* c, const std::string& column = "") {
+  return static_cast<uint64_t>(RunCount(c, column).rows.columns[0].IntAt(0));
 }
 
 TEST(BackupTest, ManifestRoundTripsThroughWire) {
@@ -209,8 +219,14 @@ TEST(BackupTest, StreamingRestoreServesQueriesBeforeBlocksArrive) {
   }
   EXPECT_EQ(resident, 0u);
 
-  // Queries work immediately (blocks page-fault from S3).
-  EXPECT_EQ(CountEvents(restored->get()), expected);
+  // A bare COUNT(*) answers from the restored chain metadata alone.
+  cluster::QueryResult bare = RunCount(restored->get());
+  EXPECT_EQ(static_cast<uint64_t>(bare.rows.columns[0].IntAt(0)), expected);
+  EXPECT_EQ(bare.stats.blocks_decoded, 0u);
+
+  // Queries that read a column work immediately (blocks page-fault from
+  // S3).
+  EXPECT_EQ(CountEvents(restored->get(), "value"), expected);
 
   // Faulted blocks are now cached locally.
   uint64_t after = 0;
@@ -330,6 +346,10 @@ TEST(BackupTest, S3CopyMasksLocalMediaFailure) {
   (*c->shard(0, "events"))->DropDecodeCache();
   (*c->shard(1, "events"))->DropDecodeCache();
   EXPECT_FALSE((*c->shard(0, "events"))->ReadAll({0}).ok());
+  // A bare COUNT(*) reads no block, so it still answers.
+  cluster::QueryResult bare = RunCount(c.get());
+  EXPECT_EQ(static_cast<uint64_t>(bare.rows.columns[0].IntAt(0)), expected);
+  EXPECT_EQ(bare.stats.blocks_decoded, 0u);
 
   // With it, the failure is transparent.
   S3Region* region = s3.region("us-east-1");
@@ -337,7 +357,7 @@ TEST(BackupTest, S3CopyMasksLocalMediaFailure) {
       [&mgr, region](storage::BlockId id) -> sdw::Result<Bytes> {
         return region->GetObject(mgr.BlockKey(id));
       });
-  EXPECT_EQ(CountEvents(c.get()), expected);
+  EXPECT_EQ(CountEvents(c.get(), "value"), expected);
   EXPECT_GT(node->store()->faults(), 0u);
 }
 

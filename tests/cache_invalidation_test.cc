@@ -201,10 +201,10 @@ TEST_F(CacheInvalidationTest, NodeFailureDuringReexecutionStaysFresh) {
     insert += "(" + std::to_string(i) + ", " + std::to_string(i) + ")";
   }
   MustRun(&wh, insert);
-  bool cached = false;
-  EXPECT_EQ(Count(&wh, &cached), 200);
-  EXPECT_EQ(Count(&wh, &cached), 200);
-  ASSERT_TRUE(cached);
+  // COUNT(v) reads v's blocks, so its re-execution meets the fault.
+  constexpr const char* kCountV = "SELECT COUNT(v) AS n FROM t";
+  EXPECT_EQ(MustRun(&wh, kCountV).rows.columns[0].IntAt(0), 200);
+  ASSERT_TRUE(MustRun(&wh, kCountV).from_result_cache);
 
   MustRun(&wh, "INSERT INTO t VALUES (1000, 1000)");
   chaos::FaultInjector injector(0xC0FFEE);
@@ -212,11 +212,17 @@ TEST_F(CacheInvalidationTest, NodeFailureDuringReexecutionStaysFresh) {
   wh.data_plane()->node(0)->store()->set_read_fault(point);
   point->ArmTrigger(1, [&] { wh.data_plane()->FailNode(0); });
 
-  StatementResult masked = MustRun(&wh, kCount);
+  StatementResult masked = MustRun(&wh, kCountV);
   EXPECT_FALSE(masked.from_result_cache);
   ASSERT_EQ(masked.rows.num_rows(), 1u);
   EXPECT_EQ(masked.rows.columns[0].IntAt(0), 201) << "fresh, fault-masked";
   EXPECT_GT(masked.exec_stats.masked_reads, 0u);
+
+  // A bare COUNT(*) reads no block, so it meets no fault at all.
+  bool cached = true;
+  EXPECT_EQ(Count(&wh, &cached), 201);
+  EXPECT_FALSE(cached);
+  EXPECT_EQ(MustRun(&wh, kCount).exec_stats.blocks_decoded, 0u);
 }
 
 // stv_cache exposes entry liveness: a write moves the key and flips the

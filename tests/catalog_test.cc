@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "catalog/types.h"
@@ -45,6 +48,30 @@ TEST(DatumTest, HashConsistentWithEquality) {
   EXPECT_EQ(Datum::Double(0.0).Hash(), Datum::Double(-0.0).Hash());
 }
 
+// PostgreSQL's rule: NaN equals NaN, whatever its bits, and sorts above
+// every other double; -0.0 equals 0.0. Hash agrees with Compare.
+TEST(DatumTest, NaNEqualsNaNAndSortsAboveEveryDouble) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const uint64_t other_bits = 0xfff8000000000123ull;  // sign and payload
+  double other_nan;
+  std::memcpy(&other_nan, &other_bits, sizeof(other_nan));
+  EXPECT_EQ(Datum::Double(nan).Compare(Datum::Double(other_nan)), 0);
+  EXPECT_EQ(Datum::Double(nan).Hash(), Datum::Double(other_nan).Hash());
+  EXPECT_GT(Datum::Double(nan).Compare(Datum::Double(inf)), 0);
+  EXPECT_LT(Datum::Double(-inf).Compare(Datum::Double(nan)), 0);
+  EXPECT_GT(Datum::Double(nan).Compare(Datum::Int64(1)), 0);
+  EXPECT_LT(Datum::Int64(1).Compare(Datum::Double(nan)), 0);
+  EXPECT_LT(Datum::Null().Compare(Datum::Double(nan)), 0) << "NULLs first";
+  EXPECT_EQ(Datum::Double(-0.0).Compare(Datum::Double(0.0)), 0);
+  EXPECT_EQ(Datum::Double(-0.0).Hash(), Datum::Double(0.0).Hash());
+  EXPECT_EQ(CompareDoubles(nan, other_nan), 0);
+  EXPECT_EQ(CompareDoubles(nan, 1.0), 1);
+  EXPECT_EQ(CompareDoubles(1.0, nan), -1);
+  EXPECT_EQ(CompareDoubles(-0.0, 0.0), 0);
+  EXPECT_EQ(CompareDoubles(-1.0, 2.0), -1);
+}
+
 TEST(DatumTest, ToStringRendersSqlish) {
   EXPECT_EQ(Datum::Null().ToString(), "NULL");
   EXPECT_EQ(Datum::Int64(42).ToString(), "42");
@@ -73,6 +100,18 @@ TEST(ColumnVectorTest, AppendDatumTypeChecks) {
   ColumnVector strs(TypeId::kString);
   EXPECT_FALSE(strs.AppendDatum(Datum::Int64(1)).ok());
   EXPECT_TRUE(strs.AppendDatum(Datum::Null()).ok());
+}
+
+TEST(ColumnVectorTest, TakeIntsWithNulls) {
+  ColumnVector v =
+      ColumnVector::TakeInts(TypeId::kBool, {1, 0, 0}, {0, 1, 0});
+  EXPECT_EQ(v.size(), 3u);
+  EXPECT_EQ(v.null_count(), 1u);
+  EXPECT_TRUE(v.IsNull(1));
+  EXPECT_EQ(v.IntAt(0), 1);
+  ColumnVector dense = ColumnVector::TakeInts(TypeId::kInt64, {4, 5});
+  EXPECT_FALSE(dense.has_nulls());
+  EXPECT_EQ(dense.nulls().size(), 2u);
 }
 
 TEST(ColumnVectorTest, AppendRange) {

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "cluster/cluster.h"
 #include "cluster/executor.h"
@@ -311,6 +316,284 @@ TEST_P(DifferentialTest, CacheArmsAgree) {
   // The warm arm really did serve from its caches.
   EXPECT_GT(warm->result_cache()->size(), 0u);
   EXPECT_GT(warm->segment_cache()->size(), 0u);
+}
+
+// The oracle axis: filtered COUNT(*)s (SQLancer's NoREC check) must equal
+// a plain loop over the rows the test inserted, not only another engine.
+// The predicates cover what the integer-only queries above never reach:
+// BETWEEN, IN lists holding NULL, VARCHAR and DOUBLE comparisons (-0.0
+// and NaN included), a NULL-heavy column, prefix LIKE, and a bare
+// COUNT(*). Arms vary topology, distribution, sort keys, block size,
+// engine and pool; the loop shares no code with any of them.
+
+/// One inserted row of p(k BIGINT, d DOUBLE PRECISION, s VARCHAR).
+struct OracleRow {
+  std::optional<int64_t> k;
+  std::optional<double> d;
+  std::optional<std::string> s;
+};
+
+/// SQL truth of one conjunct on one row: TRUE, FALSE or NULL (nullopt).
+using Truth = std::optional<bool>;
+
+/// The oracle's own order: NaN equals NaN and sorts above every double.
+int OracleOrder(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
+  }
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+int OracleOrder(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
+int OracleOrder(const std::string& a, const std::string& b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+struct OraclePredicate {
+  std::string sql;
+  std::function<Truth(const OracleRow&)> eval;
+};
+
+const char* const kOpSql[] = {"=", "<>", "<", "<=", ">", ">="};
+
+bool OracleApply(int op, int order) {
+  switch (op) {
+    case 0:
+      return order == 0;
+    case 1:
+      return order != 0;
+    case 2:
+      return order < 0;
+    case 3:
+      return order <= 0;
+    case 4:
+      return order > 0;
+    default:
+      return order >= 0;
+  }
+}
+
+/// `column <op> literal`, `BETWEEN` or `IN` over the field `get` reads;
+/// a NULL field or literal makes the comparison NULL.
+template <typename T, typename Get>
+OraclePredicate Compare(const std::string& column, int op,
+                        std::optional<T> lit, const std::string& lit_sql,
+                        Get get) {
+  return {column + " " + kOpSql[op] + " " + lit_sql,
+          [=](const OracleRow& r) -> Truth {
+            const std::optional<T> v = get(r);
+            if (!v || !lit) return std::nullopt;
+            return OracleApply(op, OracleOrder(*v, *lit));
+          }};
+}
+template <typename T, typename Get>
+OraclePredicate Between(const std::string& column, T lo, T hi,
+                        const std::string& lo_sql, const std::string& hi_sql,
+                        Get get) {
+  return {column + " BETWEEN " + lo_sql + " AND " + hi_sql,
+          [=](const OracleRow& r) -> Truth {
+            const std::optional<T> v = get(r);
+            if (!v) return std::nullopt;
+            return OracleOrder(*v, lo) >= 0 && OracleOrder(*v, hi) <= 0;
+          }};
+}
+/// IN (values..., NULL): TRUE on a match, else NULL (never FALSE).
+template <typename T, typename Get>
+OraclePredicate InWithNull(const std::string& column,
+                           const std::vector<T>& values,
+                           const std::vector<std::string>& value_sql, Get get) {
+  std::string sql = column + " IN (";
+  for (const std::string& v : value_sql) sql += v + ", ";
+  sql += "NULL)";
+  return {sql, [=](const OracleRow& r) -> Truth {
+            const std::optional<T> v = get(r);
+            if (!v) return std::nullopt;
+            for (const T& candidate : values) {
+              if (OracleOrder(*v, candidate) == 0) return true;
+            }
+            return std::nullopt;
+          }};
+}
+
+const double kDoublePool[] = {-2.25, -0.0, 0.0, 1.5, 3.75, 100.0,
+                              std::numeric_limits<double>::quiet_NaN()};
+const char* const kStringPool[] = {"",   "a",  "ab",  "abc", "b",
+                                   "ba", "bz", "c-long-string-past-sso"};
+
+std::string DoubleSql(double d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", d);  // "-0.00" keeps the sign
+  return buf;
+}
+
+OraclePredicate RandomPredicate(Rng* rng) {
+  auto get_k = [](const OracleRow& r) { return r.k; };
+  auto get_d = [](const OracleRow& r) { return r.d; };
+  auto get_s = [](const OracleRow& r) { return r.s; };
+  auto pick_d = [&] { return kDoublePool[rng->Uniform(6)]; };  // no NaN
+  auto pick_s = [&] { return std::string(kStringPool[rng->Uniform(8)]); };
+  const int op = static_cast<int>(rng->Uniform(6));
+  switch (rng->Uniform(11)) {
+    case 0: {
+      const int64_t lo = rng->UniformRange(-5, 40);
+      const int64_t hi = rng->UniformRange(-5, 40);
+      return Between<int64_t>("k", lo, hi, std::to_string(lo),
+                              std::to_string(hi), get_k);
+    }
+    case 1: {
+      const double lo = pick_d();
+      const double hi = pick_d();
+      return Between<double>("d", lo, hi, DoubleSql(lo), DoubleSql(hi), get_d);
+    }
+    case 2: {
+      const std::string lo = pick_s();
+      const std::string hi = pick_s();
+      return Between<std::string>("s", lo, hi, "'" + lo + "'", "'" + hi + "'",
+                                  get_s);
+    }
+    case 3: {
+      const int64_t a = rng->UniformRange(0, 30);
+      const int64_t b = rng->UniformRange(0, 30);
+      return InWithNull<int64_t>("k", {a, b},
+                                 {std::to_string(a), std::to_string(b)}, get_k);
+    }
+    case 4: {
+      const std::string a = pick_s();
+      return InWithNull<std::string>("s", {a}, {"'" + a + "'"}, get_s);
+    }
+    case 5: {
+      const double a = pick_d();
+      return InWithNull<double>("d", {a, 0.0}, {DoubleSql(a), "0.0"}, get_d);
+    }
+    case 6: {
+      const std::string lit = pick_s();
+      return Compare<std::string>("s", op, lit, "'" + lit + "'", get_s);
+    }
+    case 7: {
+      const double lit = pick_d();
+      return Compare<double>("d", op, lit, DoubleSql(lit), get_d);
+    }
+    case 8: {
+      const int64_t lit = rng->UniformRange(-5, 40);
+      return Compare<int64_t>("k", op, lit, std::to_string(lit), get_k);
+    }
+    case 9: {
+      const std::string prefix = rng->Bernoulli(0.5) ? "a" : "b";
+      return {"s LIKE '" + prefix + "%'", [=](const OracleRow& r) -> Truth {
+                if (!r.s) return std::nullopt;
+                return r.s->compare(0, prefix.size(), prefix) == 0;
+              }};
+    }
+    default:
+      return Compare<int64_t>("k", op, std::nullopt, "NULL", get_k);
+  }
+}
+
+std::vector<OracleRow> OracleRows(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<OracleRow> rows(3000);
+  for (OracleRow& r : rows) {
+    if (rng.Bernoulli(0.5)) r.k = rng.UniformRange(0, 39);  // NULL-heavy
+    if (!rng.Bernoulli(0.1)) r.d = kDoublePool[rng.Uniform(7)];
+    if (!rng.Bernoulli(0.2)) r.s = kStringPool[rng.Uniform(8)];
+  }
+  return rows;
+}
+
+struct OracleArm {
+  std::string name;
+  int nodes;
+  int slices;
+  size_t block_rows;
+  std::string table_options;
+  ExecutionMode mode;
+  int pool_size;
+};
+
+TEST_P(DifferentialTest, FilteredCountsMatchAPlainLoop) {
+  const uint64_t seed = GetParam();
+  const std::vector<OracleRow> rows = OracleRows(seed * 104729 + 7);
+  const OracleArm arms[] = {
+      {"1x1", 1, 1, 128, "", ExecutionMode::kCompiled, -1},
+      {"sorted-d", 3, 2, 16, "SORTKEY(d)", ExecutionMode::kCompiled, 0},
+      {"interleaved-key", 2, 2, 32, "DISTKEY(k) INTERLEAVED SORTKEY(k, s)",
+       ExecutionMode::kCompiled, 4},
+      {"all-interp", 2, 2, 64, "DISTSTYLE ALL SORTKEY(s)",
+       ExecutionMode::kInterpreted, -1},
+      {"sorted-s-interp", 1, 3, 16, "SORTKEY(s)", ExecutionMode::kInterpreted,
+       0},
+  };
+  std::vector<std::unique_ptr<warehouse::Warehouse>> warehouses;
+  for (const OracleArm& arm : arms) {
+    warehouse::WarehouseOptions options;
+    options.cluster = Config(arm.nodes, arm.slices);
+    options.cluster.storage.max_rows_per_block = arm.block_rows;
+    options.exec.mode = arm.mode;
+    options.exec.pool_size = arm.pool_size;
+    options.cache.enable_result_cache = false;
+    auto wh = std::make_unique<warehouse::Warehouse>(options);
+    auto created = wh->Execute(
+        "CREATE TABLE p (k BIGINT, d DOUBLE PRECISION, s VARCHAR) " +
+        arm.table_options);
+    ASSERT_TRUE(created.ok()) << arm.name << ": " << created.status();
+    ColumnVector k(TypeId::kInt64), d(TypeId::kDouble), s(TypeId::kString);
+    for (const OracleRow& r : rows) {
+      SDW_CHECK_OK(k.AppendDatum(r.k ? Datum::Int64(*r.k) : Datum::Null()));
+      SDW_CHECK_OK(d.AppendDatum(r.d ? Datum::Double(*r.d) : Datum::Null()));
+      SDW_CHECK_OK(s.AppendDatum(r.s ? Datum::String(*r.s) : Datum::Null()));
+    }
+    std::vector<ColumnVector> cols;
+    cols.push_back(std::move(k));
+    cols.push_back(std::move(d));
+    cols.push_back(std::move(s));
+    SDW_CHECK_OK(wh->data_plane()->InsertRows("p", cols));
+    warehouses.push_back(std::move(wh));
+  }
+
+  auto count_on = [&](warehouse::Warehouse* wh, const std::string& sql,
+                      const std::string& context) -> int64_t {
+    auto r = wh->Execute(sql);
+    EXPECT_TRUE(r.ok()) << context << ": " << r.status();
+    if (!r.ok() || r->rows.num_rows() != 1) return -1;
+    return r->rows.columns[0].IntAt(0);
+  };
+  // The bare COUNT(*) and COUNT(column) need no predicate.
+  int64_t non_null_k = 0;
+  for (const OracleRow& r : rows) non_null_k += r.k ? 1 : 0;
+  for (size_t a = 0; a < warehouses.size(); ++a) {
+    EXPECT_EQ(count_on(warehouses[a].get(), "SELECT COUNT(*) AS n FROM p",
+                       arms[a].name),
+              static_cast<int64_t>(rows.size()))
+        << arms[a].name;
+    EXPECT_EQ(count_on(warehouses[a].get(), "SELECT COUNT(k) AS n FROM p",
+                       arms[a].name),
+              non_null_k)
+        << arms[a].name;
+  }
+
+  Rng rng(seed * 6151 + 5);
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<OraclePredicate> conjuncts = {RandomPredicate(&rng)};
+    if (rng.Bernoulli(0.4)) conjuncts.push_back(RandomPredicate(&rng));
+    std::string sql = "SELECT COUNT(*) AS n FROM p WHERE ";
+    for (size_t c = 0; c < conjuncts.size(); ++c) {
+      sql += (c > 0 ? " AND " : "") + conjuncts[c].sql;
+    }
+    int64_t expected = 0;
+    for (const OracleRow& r : rows) {
+      bool all_true = true;
+      for (const OraclePredicate& c : conjuncts) {
+        const Truth t = c.eval(r);
+        all_true = all_true && t.has_value() && *t;
+      }
+      expected += all_true ? 1 : 0;
+    }
+    for (size_t a = 0; a < warehouses.size(); ++a) {
+      const std::string context = "seed " + std::to_string(seed) + " arm " +
+                                  arms[a].name + ": " + sql;
+      EXPECT_EQ(count_on(warehouses[a].get(), sql, context), expected)
+          << context;
+    }
+  }
 }
 
 // The serving-harness axis: a synthesized trace at a fixed seed must

@@ -343,6 +343,36 @@ TEST(DecodeCacheTest, EvictionKeepsResultsCorrect) {
   }
 }
 
+TEST(DecodeCacheTest, EvictsLeastRecentlyUsedBlock) {
+  storage::BlockStore store;
+  TableSchema schema("t", {{"a", TypeId::kInt64}});
+  storage::StorageOptions options;
+  options.max_rows_per_block = 10;  // 100 blocks > cache capacity (64)
+  storage::TableShard shard(schema, options, &store);
+  ColumnVector a(TypeId::kInt64);
+  for (int i = 0; i < 1000; ++i) a.AppendInt(i);
+  std::vector<ColumnVector> run;
+  run.push_back(std::move(a));
+  ASSERT_TRUE(shard.Append(run).ok());
+
+  obs::Counter* counter =
+      obs::Registry::Global().counter("sdw_storage_blocks_decoded");
+  shard.DropDecodeCache();
+  // Blocks 0..63 fill the cache; block 0 is then read again.
+  ASSERT_TRUE(shard.ReadRange({0}, {0, 640}).ok());
+  ASSERT_TRUE(shard.ReadRange({0}, {0, 10}).ok());
+  const uint64_t start = counter->value();
+  auto decoded = [&] { return counter->value() - start; };
+  // Block 64 evicts block 1, the least recently used, and not block 0,
+  // the first decoded.
+  ASSERT_TRUE(shard.ReadRange({0}, {640, 650}).ok());
+  EXPECT_EQ(decoded(), 1u);
+  ASSERT_TRUE(shard.ReadRange({0}, {0, 10}).ok());
+  EXPECT_EQ(decoded(), 1u);
+  ASSERT_TRUE(shard.ReadRange({0}, {10, 20}).ok());
+  EXPECT_EQ(decoded(), 2u);
+}
+
 TEST(DecodeCacheTest, CorruptionStillDetectedOnFirstRead) {
   storage::BlockStore store;
   TableSchema schema("t", {{"a", TypeId::kInt64}});

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/random.h"
 #include "load/copy.h"
 #include "load/formats.h"
@@ -43,6 +45,74 @@ TEST(CsvTest, RejectsMalformedRows) {
   EXPECT_FALSE(ParseCsv("abc,a,1.0,1\n", LogSchema()).ok());  // bad int
   EXPECT_FALSE(ParseCsv("1,a,xyz,1\n", LogSchema()).ok());    // bad double
   EXPECT_FALSE(ParseCsv("1,a,1.0,maybe\n", LogSchema()).ok());  // bad bool
+}
+
+// A number must be the whole field and fit its column: COPY never loads
+// a silently truncated or clamped value.
+TEST(CsvTest, RejectsPartialAndOutOfRangeNumbers) {
+  const std::string good = "1,/ok,0.5,true\n";
+  struct Case {
+    std::string row;
+    std::string column;
+  };
+  const Case cases[] = {
+      {"12x,/a,2.5,true\n", "ts"},
+      {"12,/a,2.5abc,true\n", "latency"},
+      {"99999999999999999999,/a,2.5,true\n", "ts"},
+      {"-99999999999999999999,/a,2.5,true\n", "ts"},
+      {"12,/a,1e999,true\n", "latency"},
+      {"12 ,/a,2.5,true\n", "ts"},
+      {" 12,/a,2.5,true\n", "ts"},
+      {"12,/a,2.5 ,true\n", "latency"},
+      {"0x1A,/a,2.5,true\n", "ts"},
+  };
+  for (const Case& c : cases) {
+    auto parsed = ParseCsv(good + c.row, LogSchema());
+    ASSERT_FALSE(parsed.ok()) << c.row;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << c.row;
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status();
+    EXPECT_NE(parsed.status().message().find("'" + c.column + "'"),
+              std::string::npos)
+        << parsed.status();
+  }
+  // INTEGER and DATE hold 32 bits.
+  TableSchema narrow("n", {{"i", TypeId::kInt32}, {"day", TypeId::kDate}});
+  EXPECT_FALSE(ParseCsv("2147483648,1\n", narrow).ok());
+  EXPECT_FALSE(ParseCsv("1,-2147483649\n", narrow).ok());
+  auto edges = ParseCsv("2147483647,-2147483648\n", narrow);
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ((*edges)[0].IntAt(0), 2147483647);
+  // Every form strtod spells in full still loads, NaN and infinity too.
+  auto doubles = ParseCsv("1,/a,-1.5e3,1\n2,/b,nan,0\n3,/c,inf,1\n",
+                          LogSchema());
+  ASSERT_TRUE(doubles.ok()) << doubles.status();
+  EXPECT_EQ((*doubles)[2].DoubleAt(0), -1500.0);
+  EXPECT_TRUE(std::isnan((*doubles)[2].DoubleAt(1)));
+  EXPECT_TRUE(std::isinf((*doubles)[2].DoubleAt(2)));
+}
+
+// "\r\n" ends a line like "\n": no '\r' is left in the last field.
+TEST(CsvTest, CrlfLineEndsLoadLikeLf) {
+  const std::string lf = "100,/home,1.5,true\n\n200,\"/c,art\",0.25,false\n";
+  const std::string crlf =
+      "100,/home,1.5,true\r\n\r\n200,\"/c,art\",0.25,false\r\n";
+  auto a = ParseCsv(lf, LogSchema());
+  auto b = ParseCsv(crlf, LogSchema());
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(FormatCsv(*a), FormatCsv(*b));
+  TableSchema text("t", {{"k", TypeId::kInt64}, {"s", TypeId::kString}});
+  auto last = ParseCsv("1,abc\r\n2,\"q\"\r\n", text);
+  ASSERT_TRUE(last.ok()) << last.status();
+  EXPECT_EQ((*last)[1].StringAt(0), "abc");
+  EXPECT_EQ((*last)[1].StringAt(1), "q");
+  // A '\r' inside a line is data, and a numeric field holding one is an
+  // error.
+  auto inner = ParseCsv("1,a\rb\n", text);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  EXPECT_EQ((*inner)[1].StringAt(0), "a\rb");
+  EXPECT_FALSE(ParseCsv("1\r,a\n", text).ok());
 }
 
 TEST(CsvTest, RoundTripsThroughFormat) {
@@ -205,6 +275,30 @@ TEST_F(CopyTest, JsonCopy) {
   auto stats = executor.CopyFromPayloads("logs", {payload}, options);
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->rows_loaded, 2u);
+}
+
+TEST_F(CopyTest, MalformedNumberLoadsNothing) {
+  CopyExecutor executor(cluster_.get(), &s3_);
+  for (const char* bad : {"12x,/a,1.0,true\n", "1,/a,2.5abc,true\n",
+                          "99999999999999999999,/a,1.0,true\n"}) {
+    auto stats =
+        executor.CopyFromPayloads("logs",
+                                  {MakeCsv(50, 0), MakeCsv(5, 100) + bad});
+    ASSERT_FALSE(stats.ok()) << bad;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(*cluster_->TotalRows("logs"), 0u) << bad;
+  }
+  auto good = executor.CopyFromPayloads("logs", {MakeCsv(50, 0)});
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(*cluster_->TotalRows("logs"), 50u);
+}
+
+TEST(JsonTest, RejectsIntegersPastBigint) {
+  TableSchema schema("j", {{"k", TypeId::kInt64}});
+  EXPECT_FALSE(ParseJsonLines("{\"k\": 99999999999999999999}\n", schema).ok());
+  auto ok = ParseJsonLines("{\"k\": 9007199254740992}\n", schema);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ((*ok)[0].IntAt(0), 9007199254740992);
 }
 
 TEST_F(CopyTest, ErrorsSurfaceCleanly) {
