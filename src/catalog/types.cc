@@ -120,6 +120,7 @@ Status ColumnVector::AppendDatum(const Datum& d) {
       if (!IsIntegerLike(d.type())) {
         return Status::InvalidArgument("non-integer datum into integer column");
       }
+      SDW_RETURN_IF_ERROR(CheckIntLaneValue(type_, d.int_value()));
       AppendInt(d.int_value());
       return Status::OK();
   }

@@ -30,6 +30,19 @@ inline bool IsIntegerLike(TypeId t) {
          t == TypeId::kDate;
 }
 
+/// OK when the int64 lane of integer-like `type` holds `value` as
+/// ColumnVector::DatumAt reads it back: any value for BIGINT, an int32
+/// for INTEGER and DATE, 0 or 1 for BOOLEAN. kInvalidArgument otherwise.
+inline Status CheckIntLaneValue(TypeId type, int64_t value) {
+  const bool narrow = type == TypeId::kInt32 || type == TypeId::kDate;
+  if ((type == TypeId::kBool && value != 0 && value != 1) ||
+      (narrow && value != static_cast<int32_t>(value))) {
+    return Status::InvalidArgument("value " + std::to_string(value) +
+                                   " out of range for " + TypeName(type));
+  }
+  return Status::OK();
+}
+
 /// The one order of DOUBLE values: -0.0 equals 0.0, and NaN equals NaN
 /// and sorts above every other double (PostgreSQL's rule), so the order
 /// is total. Returns -1, 0 or 1.
@@ -143,7 +156,7 @@ class ColumnVector {
   }
   void AppendNull();
 
-  /// Appends a Datum, checking type compatibility.
+  /// Appends a Datum, checking its type and its domain (CheckIntLaneValue).
   Status AppendDatum(const Datum& d);
 
   bool IsNull(size_t i) const { return nulls_[i] != 0; }

@@ -517,10 +517,26 @@ Status Cluster::InsertRows(const std::string& table,
     return Status::InvalidArgument("column count mismatch");
   }
   const size_t n = columns.empty() ? 0 : columns[0].size();
-  for (const auto& col : columns) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const ColumnVector& col = columns[c];
     if (col.size() != n) return Status::InvalidArgument("ragged insert");
+    // Every write arrives here, so the narrow int64 lanes are held to
+    // their domain here. BIGINT lanes cost no pass.
+    if (!IsIntegerLike(col.type()) || col.type() == TypeId::kInt64) continue;
+    for (size_t i = 0; i < n; ++i) {
+      Status fits = col.IsNull(i) ? Status::OK()
+                                  : CheckIntLaneValue(col.type(), col.IntAt(i));
+      if (!fits.ok()) {
+        return Status::InvalidArgument("column '" + schema.column(c).name +
+                                       "': " + fits.message());
+      }
+    }
   }
   if (n == 0) return Status::OK();
+  // A direct insert stages into its own write and commits it below.
+  // Declared before the lock: an abandoned one aborts after mu_ drops.
+  StagedWrite own(this);
+  if (staged == nullptr) staged = &own;
 
   const int slices = total_slices();
   std::vector<std::vector<uint64_t>> per_slice(slices);
@@ -589,25 +605,23 @@ Status Cluster::InsertRows(const std::string& table,
     }
     SDW_ASSIGN_OR_RETURN(std::shared_ptr<storage::TableShard> shard_sp,
                          shard_ref(s, table));
-    if (staged != nullptr) {
-      // Chain this run onto whatever the statement already staged for
-      // the shard; readers see nothing until CommitStaged.
-      StagedWrite::Pending* pending = staged->Find(shard_sp.get());
-      storage::ShardSnapshot base =
-          pending != nullptr ? pending->next : shard_sp->Snapshot();
-      SDW_ASSIGN_OR_RETURN(storage::PreparedVersion next,
-                           shard_sp->PrepareAppend(base, slice_rows));
-      if (pending != nullptr) {
-        pending->next = std::move(next);
-      } else {
-        staged->pending_.push_back(
-            {std::move(shard_sp), std::move(base), std::move(next)});
-      }
+    // Chain this run onto whatever the statement already staged for
+    // the shard; readers see nothing until CommitStaged.
+    StagedWrite::Pending* pending = staged->Find(shard_sp.get());
+    storage::ShardSnapshot base =
+        pending != nullptr ? pending->next : shard_sp->Snapshot();
+    SDW_ASSIGN_OR_RETURN(storage::PreparedVersion next,
+                         shard_sp->PrepareAppend(base, slice_rows));
+    if (pending != nullptr) {
+      pending->next = std::move(next);
     } else {
-      SDW_RETURN_IF_ERROR(shard_sp->Append(slice_rows));
+      staged->pending_.push_back(
+          {std::move(shard_sp), std::move(base), std::move(next)});
     }
   }
-  return Status::OK();
+  // Committed before mu_ drops, so concurrent direct inserts stay
+  // serialized end to end, cursor advance and installs together.
+  return staged == &own ? CommitStaged(&own) : Status::OK();
 }
 
 Status Cluster::Analyze(const std::string& table) {
@@ -662,6 +676,9 @@ Result<uint64_t> Cluster::Vacuum(const std::string& table,
     return Status::FailedPrecondition("cluster is read-only");
   }
   SDW_ASSIGN_OR_RETURN(TableSchema schema, catalog_.GetTable(table));
+  // A direct VACUUM stages into its own write and commits it below.
+  StagedWrite own(this);
+  if (staged == nullptr) staged = &own;
   std::vector<int> all_cols(schema.num_columns());
   std::iota(all_cols.begin(), all_cols.end(), 0);
   uint64_t blocks_rewritten = 0;
@@ -683,16 +700,15 @@ Result<uint64_t> Cluster::Vacuum(const std::string& table,
     for (const auto& chain : base->chains) {
       blocks_rewritten += chain.size();
     }
-    if (staged != nullptr) {
-      staged->pending_.push_back(
-          {std::move(shard_sp), std::move(base), std::move(next)});
-    } else {
-      SDW_RETURN_IF_ERROR(shard_sp->Install(base, std::move(next)));
-    }
+    staged->pending_.push_back(
+        {std::move(shard_sp), std::move(base), std::move(next)});
   }
-  // Unstaged VACUUM (direct cluster callers) reclaims eagerly so the
-  // rewrite frees storage right away when nothing is pinned.
-  if (staged == nullptr) CollectGarbage();
+  if (staged == &own) {
+    SDW_RETURN_IF_ERROR(CommitStaged(&own));
+    // Reclaims eagerly, so the rewrite frees storage right away when
+    // nothing is pinned.
+    CollectGarbage();
+  }
   return blocks_rewritten;
 }
 

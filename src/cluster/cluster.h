@@ -132,9 +132,6 @@ class StagedWrite {
   StagedWrite(const StagedWrite&) = delete;
   StagedWrite& operator=(const StagedWrite&) = delete;
 
-  bool empty() const { return pending_.empty(); }
-  bool committed() const { return committed_; }
-
  private:
   friend class Cluster;
 
@@ -207,10 +204,12 @@ class Cluster {
   Status DropTable(const std::string& table);
 
   /// Distributes one run of rows across slices per the table's
-  /// DISTSTYLE, sorts each slice's portion per its SORTKEY, and appends.
-  /// With `staged` the new blocks stay invisible until CommitStaged;
-  /// without it each shard installs immediately (single-threaded
-  /// callers). Rejected while the cluster is read-only (§3.1).
+  /// DISTSTYLE, sorts each slice's portion per its SORTKEY, and stages
+  /// the appends. With `staged` the new blocks stay invisible until the
+  /// caller's CommitStaged; without it the insert stages into its own
+  /// StagedWrite and commits it before returning. A value its column
+  /// cannot hold (CheckIntLaneValue) is kInvalidArgument naming the
+  /// column. Rejected while the cluster is read-only (§3.1).
   Status InsertRows(const std::string& table,
                     const std::vector<ColumnVector>& columns,
                     StagedWrite* staged = nullptr) SDW_EXCLUDES(mu_);
@@ -228,8 +227,9 @@ class Cluster {
   /// into one fully-sorted region (the paper's §3.2 future work makes
   /// this self-triggering; here it is the classic user-initiated op).
   /// With `staged` the rewrite is prepared but not installed; without
-  /// it the new chains install immediately and unpinned old versions
-  /// are reclaimed. Returns the number of blocks rewritten.
+  /// it the rewrite stages into its own StagedWrite, commits it, and
+  /// reclaims unpinned old versions. Returns the number of blocks
+  /// rewritten.
   Result<uint64_t> Vacuum(const std::string& table,
                           StagedWrite* staged = nullptr);
 
@@ -378,9 +378,9 @@ class Cluster {
   /// round-robin cursors and the page-fault handler (installed after
   /// construction, read by fault handlers on any worker) — plus the
   /// dropped-shard GC list, and serializes InsertRows end to end:
-  /// cursor advance and shard appends commit together. The append loop
-  /// only writes (store Put), so it cannot re-enter FaultRead and
-  /// deadlock. FaultRead copies the handler out before invoking it —
+  /// cursor advance and shard appends stage (and a direct insert
+  /// commits) together. The append loop only writes (store Put), so it
+  /// cannot re-enter FaultRead and deadlock. FaultRead copies the handler out before invoking it —
   /// it reaches S3 / other stores and must not run under mu_.
   mutable common::Mutex mu_{common::LockRank::kClusterRouting};
   storage::BlockStore::FaultHandler page_fault_ SDW_GUARDED_BY(mu_);

@@ -29,16 +29,6 @@ inline constexpr const char* kAllCrashSites[] = {
     kCrashPreLog, kCrashTornAppend, kCrashPostLogPreInstall, kCrashMidInstall,
     kCrashPreAck};
 
-/// Durable-commit knobs (WarehouseOptions::durability).
-struct DurabilityOptions {
-  /// Append every mutating statement to the S3 commit log before its
-  /// install (log-before-install) so Recover() can replay the tail.
-  bool log_commits = true;
-  /// Bounded-retry budget for log appends/reads (same contract as the
-  /// backup paths: transient S3 faults degrade to modeled latency).
-  common::RetryPolicy retry;
-};
-
 /// One durable commit. Statements are logged logically (the SQL text):
 /// replay re-executes them through the normal front door, which is
 /// deterministic because the writer path is serialized and every
@@ -123,9 +113,6 @@ class CommitLog {
   Status SetRecoveryBase(uint64_t snapshot_id);
   Result<uint64_t> GetRecoveryBase();
 
-  void set_retry_policy(common::RetryPolicy policy) {
-    retry_policy_ = policy;
-  }
   /// Wires crash injection into the append path (torn-append site).
   void set_crash_controller(chaos::CrashController* crash) {
     crash_ = crash;
@@ -143,7 +130,9 @@ class CommitLog {
   backup::S3* s3_;
   std::string region_;
   std::string cluster_id_;
-  common::RetryPolicy retry_policy_;
+  /// Bounded retry for every S3 call (the backup paths' contract:
+  /// transient S3 faults degrade to modeled latency).
+  const common::RetryPolicy retry_policy_{};
   chaos::CrashController* crash_ = nullptr;
 
   mutable common::Mutex mu_{common::LockRank::kCommitLog};

@@ -89,6 +89,9 @@ Result<CopyStats> CopyExecutor::CopyFromPayloads(
   // A malformed file fails the whole COPY before any row is inserted.
   for (const auto& file : parsed) SDW_RETURN_IF_ERROR(file->status());
 
+  cluster::StagedWrite own(cluster_);
+  cluster::StagedWrite* staging =
+      options.staging != nullptr ? options.staging : &own;
   bool analyzer_ran = false;
   for (size_t f = 0; f < payloads.size(); ++f) {
     ++stats.files;
@@ -99,14 +102,15 @@ Result<CopyStats> CopyExecutor::CopyFromPayloads(
       SDW_RETURN_IF_ERROR(MaybeRunAnalyzer(table, columns, &stats));
       analyzer_ran = true;
     }
-    SDW_RETURN_IF_ERROR(cluster_->InsertRows(table, columns, options.staging));
+    SDW_RETURN_IF_ERROR(cluster_->InsertRows(table, columns, staging));
     stats.rows_loaded += columns[0].size();
     if (options.progress != nullptr) {
       options.progress->AddRowsScanned(columns[0].size());
     }
   }
-  if (options.statupdate && stats.rows_loaded > 0) {
-    SDW_RETURN_IF_ERROR(cluster_->Analyze(table));
+  if (staging == &own) {
+    SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&own));
+    if (stats.rows_loaded > 0) SDW_RETURN_IF_ERROR(cluster_->Analyze(table));
   }
   static obs::Counter* rows_loaded =
       obs::Registry::Global().counter("sdw_copy_rows_loaded");

@@ -20,11 +20,10 @@ enum class CopyFormat { kCsv, kJson };
 
 struct CopyOptions {
   CopyFormat format = CopyFormat::kCsv;
-  /// Run the sampling compression analyzer on first load and update the
-  /// optimizer statistics afterwards ("by default, compression scheme
-  /// and optimizer statistics are updated with load", §2.1).
+  /// Run the sampling compression analyzer on first load ("by default,
+  /// compression scheme and optimizer statistics are updated with
+  /// load", §2.1; the statistics always are, see `staging`).
   bool compupdate = true;
-  bool statupdate = true;
   /// Per-file parse parallelism: -1 uses the cluster's shared pool, 0
   /// parses serially, >0 uses a private pool of that size. Rows are
   /// distributed (and the analyzer sampled) in file order either way,
@@ -35,10 +34,10 @@ struct CopyOptions {
   /// failed load; an outage longer than the budget still surfaces as
   /// kUnavailable.
   common::RetryPolicy retry;
-  /// MVCC staging: when set, every InsertRows run is accumulated on
-  /// this StagedWrite instead of installed per-file, so the warehouse
-  /// can commit the whole COPY as one atomic version bump (readers see
-  /// all files or none). Null keeps the legacy install-per-run path.
+  /// Every file's run stages into one StagedWrite, so the whole COPY
+  /// installs at once (readers see all files or none). When set, the
+  /// caller commits it and runs ANALYZE (the warehouse logs in between);
+  /// null, the executor stages into its own, commits, then analyzes.
   cluster::StagedWrite* staging = nullptr;
   /// Live progress counters for stv_inflight: rows_scanned counts rows
   /// loaded so far (a COPY "scans" its input). Null when unwatched.
@@ -65,7 +64,8 @@ struct CopyStats {
 /// Executes the Redshift-style COPY: reads objects from the simulated
 /// object store (or inline payloads), parses, auto-assigns column
 /// encodings on first load, distributes rows across slices and sorts
-/// each slice's run, then refreshes statistics.
+/// each slice's run, stages every run, and (unless the caller owns the
+/// staging) commits them at once and refreshes statistics.
 class CopyExecutor {
  public:
   CopyExecutor(cluster::Cluster* cluster, backup::S3* s3,

@@ -145,7 +145,6 @@ Warehouse::Warehouse(WarehouseOptions options)
     WireEncryption();
   }
   control_plane_.set_event_log(&event_log_);
-  commit_log_.set_retry_policy(options_.durability.retry);
   commit_log_.set_crash_controller(&crash_);
   SyncHostManagers();
 }
@@ -154,38 +153,51 @@ Warehouse::Session Warehouse::CreateSession(std::string user_group) {
   return Session(this, next_session_id_.fetch_add(1), std::move(user_group));
 }
 
-Status Warehouse::CrashPoint(const char* site) {
-  if (replaying_.load(std::memory_order_relaxed)) return Status::OK();
-  return crash_.AtSite(site);
-}
-
-Status Warehouse::LogBeforeInstall(const std::string& sql, int session_id) {
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreLog));
-  if (options_.durability.log_commits &&
-      !replaying_.load(std::memory_order_relaxed)) {
-    if (in_transaction()) {
+Status Warehouse::CommitWrite(durability::LogRecord record,
+                              Install install) {
+  // Replay neither logs nor crashes: the crash already happened, and
+  // recovery must run to completion.
+  const bool live = !replaying_.load(std::memory_order_relaxed);
+  auto crash_point = [&](const char* site) {
+    return live ? crash_.AtSite(site) : Status::OK();
+  };
+  SDW_RETURN_IF_ERROR(crash_point(durability::kCrashPreLog));
+  if (live) {
+    using Kind = durability::LogRecord::Kind;
+    if (record.kind == Kind::kStatement && in_transaction()) {
       // Durability happens at COMMIT: the whole batch becomes one
       // atomic kTransaction record (a crash before then rolls back
-      // everything, logged or not — nothing was logged).
-      txn_statements_.push_back(sql);
-    } else {
-      durability::LogRecord record;
-      record.kind = durability::LogRecord::Kind::kStatement;
-      record.session_id = session_id;
-      record.statements.push_back(sql);
+      // everything — nothing was logged). Only the owner's statements
+      // get here: RunStatement refuses every other session's.
+      SDW_DCHECK(record.session_id == txn_session_);
+      txn_statements_.push_back(std::move(record.statements.front()));
+    } else if (record.kind != Kind::kTransaction ||
+               !record.statements.empty()) {
       SDW_ASSIGN_OR_RETURN(uint64_t lsn,
                            commit_log_.Append(std::move(record)));
       applied_lsn_.store(lsn, std::memory_order_relaxed);
     }
   }
-  return CrashPoint(durability::kCrashPostLogPreInstall);
-}
-
-std::function<Status(size_t)> Warehouse::MidInstallBarrier() {
-  return [this](size_t installed) {
-    return installed == 1 ? CrashPoint(durability::kCrashMidInstall)
-                          : Status::OK();
-  };
+  SDW_RETURN_IF_ERROR(crash_point(durability::kCrashPostLogPreInstall));
+  if (install.staged != nullptr || install.apply || install.cluster) {
+    common::WriterMutexLock data_lock(data_mu_);
+    if (install.apply) SDW_RETURN_IF_ERROR(install.apply());
+    if (install.staged != nullptr) {
+      SDW_RETURN_IF_ERROR(cluster_->CommitStaged(
+          install.staged, [&](size_t installed) {
+            return installed == 1 ? crash_point(durability::kCrashMidInstall)
+                                  : Status::OK();
+          }));
+    }
+    if (install.cluster != nullptr) {
+      // Its stamps start over, so the new generation keeps every cached
+      // entry from matching again. In-flight SELECTs finish on the old
+      // cluster they pinned; it is freed when the last of them drains.
+      cluster_ = std::move(install.cluster);
+      ++generation_;
+    }
+  }
+  return crash_point(durability::kCrashPreAck);
 }
 
 void Warehouse::SyncHostManagers() {
@@ -407,53 +419,45 @@ Status Warehouse::RotateKeys() {
   return keys_->RotateClusterKey();
 }
 
-Status Warehouse::Begin() {
+Status Warehouse::RefuseOtherSessions(int session_id) const {
+  if (in_transaction() && session_id != txn_session_) {
+    return Status::FailedPrecondition("session " +
+                                      std::to_string(txn_session_) +
+                                      " has an open transaction");
+  }
+  return Status::OK();
+}
+
+void Warehouse::EndTransaction() {
+  in_txn_.store(false, std::memory_order_relaxed);
+  txn_manifest_ = backup::SnapshotManifest{};
+  txn_statements_.clear();
+}
+
+Status Warehouse::Begin(int session_id) {
   // writer_mu_ excludes every mutating statement, so the captured
   // manifest is a statement boundary; readers may keep scanning their
   // own pinned snapshots throughout.
-  common::MutexLock statement_lock(writer_mu_);
-  SDW_RETURN_IF_ERROR(crash_.Down());
-  if (in_transaction()) {
-    return Status::FailedPrecondition("already in a transaction");
-  }
   SDW_ASSIGN_OR_RETURN(txn_manifest_, backup::CaptureManifest(cluster_.get()));
-  txn_statements_.clear();
+  txn_session_ = session_id;
   in_txn_.store(true, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status Warehouse::Commit() {
-  common::MutexLock statement_lock(writer_mu_);
-  SDW_RETURN_IF_ERROR(crash_.Down());
-  if (!in_transaction()) {
-    return Status::FailedPrecondition("no open transaction");
-  }
-  // The transaction's durability point: one atomic kTransaction record
-  // for the whole buffered batch. A crash before the append loses the
-  // batch entirely (never acked); after it, recovery replays it whole.
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreLog));
-  if (options_.durability.log_commits &&
-      !replaying_.load(std::memory_order_relaxed) &&
-      !txn_statements_.empty()) {
-    durability::LogRecord record;
-    record.kind = durability::LogRecord::Kind::kTransaction;
-    record.statements = txn_statements_;
-    SDW_ASSIGN_OR_RETURN(uint64_t lsn, commit_log_.Append(std::move(record)));
-    applied_lsn_.store(lsn, std::memory_order_relaxed);
-  }
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPostLogPreInstall));
-  in_txn_.store(false, std::memory_order_relaxed);
-  txn_manifest_ = backup::SnapshotManifest{};
-  txn_statements_.clear();
-  return CrashPoint(durability::kCrashPreAck);
+  // The durability point: one atomic kTransaction record for the whole
+  // buffered batch (none for an empty one), whose statements installed
+  // as they ran. A failed append leaves the transaction open.
+  durability::LogRecord record;
+  record.kind = durability::LogRecord::Kind::kTransaction;
+  record.session_id = txn_session_;
+  record.statements = txn_statements_;
+  SDW_RETURN_IF_ERROR(CommitWrite(std::move(record), {}));
+  EndTransaction();
+  return Status::OK();
 }
 
 Status Warehouse::Rollback() {
-  common::MutexLock statement_lock(writer_mu_);
-  SDW_RETURN_IF_ERROR(crash_.Down());
-  if (!in_transaction()) {
-    return Status::FailedPrecondition("no open transaction");
-  }
   {
     common::WriterMutexLock data_lock(data_mu_);
     // Tables created inside the transaction disappear entirely (their
@@ -500,9 +504,7 @@ Status Warehouse::Rollback() {
       // transaction.
       cluster_->set_round_robin_cursor(name, table.round_robin_cursor);
     }
-    in_txn_.store(false, std::memory_order_relaxed);
-    txn_manifest_ = backup::SnapshotManifest{};
-    txn_statements_.clear();
+    EndTransaction();
   }
   cluster_->CollectGarbage();
   return Status::OK();
@@ -804,9 +806,17 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   StatementResult result;
   if (auto* txn = std::get_if<sql::TxnStmt>(&stmt)) {
     // Transaction control is leader metadata work: no slot, no queue.
+    common::MutexLock statement_lock(writer_mu_);
+    SDW_RETURN_IF_ERROR(crash_.Down());
+    SDW_RETURN_IF_ERROR(RefuseOtherSessions(session_id));
+    const bool begin = txn->kind == sql::TxnStmt::Kind::kBegin;
+    if (in_transaction() == begin) {
+      return Status::FailedPrecondition(begin ? "already in a transaction"
+                                              : "no open transaction");
+    }
     switch (txn->kind) {
       case sql::TxnStmt::Kind::kBegin:
-        SDW_RETURN_IF_ERROR(Begin());
+        SDW_RETURN_IF_ERROR(Begin(session_id));
         result.message = "BEGIN";
         break;
       case sql::TxnStmt::Kind::kCommit:
@@ -819,12 +829,6 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
         break;
     }
     return result;
-  }
-  if (in_transaction() && (std::holds_alternative<sql::DropTableStmt>(stmt) ||
-                           std::holds_alternative<sql::VacuumStmt>(stmt))) {
-    return Status::NotSupported(
-        "DROP TABLE / VACUUM reclaim blocks eagerly and cannot run inside "
-        "a transaction");
   }
 
   // Writes go through the same front door as queries, then serialize
@@ -857,74 +861,55 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
   ticket.progress()->set_queued_seconds(slot.queued_seconds());
   ticket.progress()->set_phase(obs::QueryPhase::kExec);
   common::MutexLock statement_lock(writer_mu_);
+  SDW_RETURN_IF_ERROR(RefuseOtherSessions(session_id));
+  if (in_transaction() && (std::holds_alternative<sql::DropTableStmt>(stmt) ||
+                           std::holds_alternative<sql::VacuumStmt>(stmt))) {
+    return Status::NotSupported(
+        "DROP TABLE / VACUUM reclaim blocks eagerly and cannot run inside "
+        "a transaction");
+  }
 
+  // Validate and stage: everything that can fail does so here, before
+  // the commit step, so only statements that will apply (and so will
+  // replay cleanly) enter the commit log.
+  cluster::StagedWrite staged(cluster_.get());
+  Install install;
+  std::string analyze_after;
   if (auto* create = std::get_if<sql::CreateTableStmt>(&stmt)) {
-    // Validate before logging: only statements that will apply (and so
-    // will replay cleanly) may enter the commit log.
     if (cluster_->catalog()->GetTable(create->schema.name()).ok()) {
       return Status::AlreadyExists("table '" + create->schema.name() +
                                    "' exists");
     }
-    SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-    {
-      common::WriterMutexLock data_lock(data_mu_);
-      SDW_RETURN_IF_ERROR(cluster_->CreateTable(create->schema));
-    }
-    SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
+    install.apply = [this, create] {
+      return cluster_->CreateTable(create->schema);
+    };
     result.message = "CREATE TABLE " + create->schema.name();
-    report.set_state("run");
-    return result;
-  }
-  if (auto* drop = std::get_if<sql::DropTableStmt>(&stmt)) {
-    SDW_RETURN_IF_ERROR(
-        cluster_->catalog()->GetTable(drop->table).status());
-    SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-    {
-      common::WriterMutexLock data_lock(data_mu_);
-      // Unlinks the table; its shards park on the dropped list until
-      // every pinned snapshot drains (mid-scan readers finish cleanly).
-      SDW_RETURN_IF_ERROR(cluster_->DropTable(drop->table));
-    }
-    SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
+  } else if (auto* drop = std::get_if<sql::DropTableStmt>(&stmt)) {
+    SDW_RETURN_IF_ERROR(cluster_->catalog()->GetTable(drop->table).status());
+    // Unlinks the table; its shards park on the dropped list until
+    // every pinned snapshot drains (mid-scan readers finish cleanly).
+    install.apply = [this, drop] { return cluster_->DropTable(drop->table); };
     result.message = "DROP TABLE " + drop->table;
-    report.set_state("run");
-    return result;
-  }
-  if (auto* copy = std::get_if<sql::CopyStmt>(&stmt)) {
-    cluster::StagedWrite staged(cluster_.get());
+  } else if (auto* copy = std::get_if<sql::CopyStmt>(&stmt)) {
     load::CopyExecutor executor(cluster_.get(), s3_, options_.region);
     load::CopyOptions copy_options;
     copy_options.format = copy->format == sql::CopyStmt::Format::kCsv
                               ? load::CopyFormat::kCsv
                               : load::CopyFormat::kJson;
     copy_options.compupdate = copy->compupdate;
-    // Stage every file's run off to the side; stats run post-commit on
-    // the installed data instead of mid-load.
+    // Every file's run stages here: the load becomes visible as ONE
+    // install per shard (a snapshot sees the whole COPY or none of it),
+    // and stats run after it on the installed data.
     copy_options.staging = &staged;
-    copy_options.statupdate = false;
     copy_options.progress = ticket.progress();
     SDW_ASSIGN_OR_RETURN(result.copy_stats,
                          executor.CopyFromUri(copy->table, copy->source_uri,
                                               copy_options));
-    // Log-before-install: staging (the fallible part) is done, so the
-    // logged statement is guaranteed to re-apply on replay.
-    SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-    {
-      common::WriterMutexLock data_lock(data_mu_);
-      // The multi-block, multi-file load becomes visible as ONE install
-      // per shard: a snapshot sees the whole COPY or none of it.
-      SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
-    }
-    if (result.copy_stats.rows_loaded > 0) {
-      SDW_RETURN_IF_ERROR(cluster_->Analyze(copy->table));
-    }
-    SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
+    install.staged = &staged;
+    if (result.copy_stats.rows_loaded > 0) analyze_after = copy->table;
     result.message = "COPY " + std::to_string(result.copy_stats.rows_loaded) +
                      " rows into " + copy->table;
-    report.set_state("run");
-    return result;
-  }
-  if (auto* insert = std::get_if<sql::InsertStmt>(&stmt)) {
+  } else if (auto* insert = std::get_if<sql::InsertStmt>(&stmt)) {
     SDW_ASSIGN_OR_RETURN(TableSchema schema,
                          cluster_->catalog()->GetTable(insert->table));
     std::vector<ColumnVector> columns;
@@ -936,55 +921,50 @@ Result<StatementResult> Warehouse::RunStatement(sql::Statement stmt,
         return Status::InvalidArgument("INSERT arity mismatch");
       }
       for (size_t c = 0; c < row.size(); ++c) {
-        SDW_RETURN_IF_ERROR(columns[c].AppendDatum(row[c]));
+        Status appended = columns[c].AppendDatum(row[c]);
+        if (!appended.ok()) {
+          return Status::InvalidArgument("column '" + schema.column(c).name +
+                                         "': " + appended.message());
+        }
       }
     }
-    cluster::StagedWrite staged(cluster_.get());
-    SDW_RETURN_IF_ERROR(
-        cluster_->InsertRows(insert->table, columns, &staged));
-    SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-    {
-      common::WriterMutexLock data_lock(data_mu_);
-      SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
-    }
-    SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
-    result.message =
-        "INSERT " + std::to_string(insert->rows.size()) + " rows";
-    report.set_state("run");
-    return result;
-  }
-  if (auto* analyze = std::get_if<sql::AnalyzeStmt>(&stmt)) {
+    SDW_RETURN_IF_ERROR(cluster_->InsertRows(insert->table, columns, &staged));
+    install.staged = &staged;
+    result.message = "INSERT " + std::to_string(insert->rows.size()) + " rows";
+  } else if (auto* analyze = std::get_if<sql::AnalyzeStmt>(&stmt)) {
     SDW_RETURN_IF_ERROR(
         cluster_->catalog()->GetTable(analyze->table).status());
-    SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
     // Stats live in the internally locked catalog and never change
     // results, and Analyze's re-install of the heads moves no data, so
-    // no data_mu_ hold is needed: a reader pinning mid-way gets the
-    // same rows under either stamp, and plans against the fresh stats.
-    SDW_RETURN_IF_ERROR(cluster_->Analyze(analyze->table));
-    SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
+    // it runs after the step with no data_mu_ hold: a reader pinning
+    // mid-way gets the same rows under either stamp, and plans against
+    // the fresh stats.
+    analyze_after = analyze->table;
     result.message = "ANALYZE " + analyze->table;
-    report.set_state("run");
-    return result;
+  } else {
+    auto& vacuum = std::get<sql::VacuumStmt>(stmt);
+    // Each COPY sorts its own run; VACUUM merges the accumulated runs
+    // back into one fully-sorted region per slice. The merge-sort and
+    // re-encode happen on staged chains — readers scan the old ones —
+    // and the swap is one install per shard. Old chains retire and are
+    // reclaimed after the step, once no snapshot pins them.
+    SDW_ASSIGN_OR_RETURN(uint64_t blocks,
+                         cluster_->Vacuum(vacuum.table, &staged));
+    install.staged = &staged;
+    result.message = "VACUUM " + vacuum.table + " (" +
+                     std::to_string(blocks) + " blocks rewritten)";
   }
-  auto& vacuum = std::get<sql::VacuumStmt>(stmt);
-  // Each COPY sorts its own run; VACUUM merges the accumulated runs
-  // back into one fully-sorted region per slice. The merge-sort and
-  // re-encode happen on staged chains — readers scan the old ones —
-  // and the swap is one install per shard. Old chains retire and are
-  // reclaimed once no snapshot pins them.
-  cluster::StagedWrite staged(cluster_.get());
-  SDW_ASSIGN_OR_RETURN(uint64_t blocks,
-                       cluster_->Vacuum(vacuum.table, &staged));
-  SDW_RETURN_IF_ERROR(LogBeforeInstall(sql, session_id));
-  {
-    common::WriterMutexLock data_lock(data_mu_);
-    SDW_RETURN_IF_ERROR(cluster_->CommitStaged(&staged, MidInstallBarrier()));
+
+  durability::LogRecord record;
+  record.kind = durability::LogRecord::Kind::kStatement;
+  record.session_id = session_id;
+  record.statements.push_back(sql);
+  SDW_RETURN_IF_ERROR(CommitWrite(std::move(record), std::move(install)));
+
+  if (!analyze_after.empty()) {
+    SDW_RETURN_IF_ERROR(cluster_->Analyze(analyze_after));
   }
-  cluster_->CollectGarbage();
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
-  result.message = "VACUUM " + vacuum.table + " (" + std::to_string(blocks) +
-                   " blocks rewritten)";
+  if (std::holds_alternative<sql::VacuumStmt>(stmt)) cluster_->CollectGarbage();
   report.set_state("run");
   return result;
 }
@@ -996,24 +976,24 @@ Result<backup::BackupManager::BackupStats> Warehouse::Backup(
   // SELECTs keep running — it reads published heads, changes nothing.
   common::MutexLock statement_lock(writer_mu_);
   SDW_RETURN_IF_ERROR(crash_.Down());
-  uint64_t watermark = 0;
-  if (options_.durability.log_commits) {
-    // Under writer_mu_ no commit can land mid-capture, so everything
-    // at or below LastLsn() is contained in this snapshot.
-    SDW_ASSIGN_OR_RETURN(watermark, commit_log_.LastLsn());
+  if (in_transaction()) {
+    // The live heads hold the open transaction's rows and the log does
+    // not: the snapshot would bring them back after a ROLLBACK.
+    return Status::FailedPrecondition("cannot back up inside a transaction");
   }
+  // Under writer_mu_ no commit can land mid-capture, so everything at
+  // or below LastLsn() is contained in this snapshot.
+  SDW_ASSIGN_OR_RETURN(uint64_t watermark, commit_log_.LastLsn());
   SDW_ASSIGN_OR_RETURN(backup::BackupManager::BackupStats stats,
                        backups_.Backup(cluster_.get(), user_initiated,
                                        watermark));
-  if (options_.durability.log_commits) {
-    // The fresh snapshot becomes the recovery base; the log keeps only
-    // what some remaining snapshot has not absorbed (an older snapshot
-    // with a lower — or zero — watermark pins the tail it still needs).
-    SDW_RETURN_IF_ERROR(commit_log_.SetRecoveryBase(stats.snapshot_id));
-    SDW_ASSIGN_OR_RETURN(uint64_t keep_after, backups_.MinimumWatermark());
-    if (keep_after > 0) {
-      SDW_RETURN_IF_ERROR(commit_log_.TruncateThrough(keep_after));
-    }
+  // The fresh snapshot becomes the recovery base; the log keeps only
+  // what some remaining snapshot has not absorbed (an older snapshot
+  // with a lower — or zero — watermark pins the tail it still needs).
+  SDW_RETURN_IF_ERROR(commit_log_.SetRecoveryBase(stats.snapshot_id));
+  SDW_ASSIGN_OR_RETURN(uint64_t keep_after, backups_.MinimumWatermark());
+  if (keep_after > 0) {
+    SDW_RETURN_IF_ERROR(commit_log_.TruncateThrough(keep_after));
   }
   return stats;
 }
@@ -1029,34 +1009,21 @@ Status Warehouse::RestoreInPlace(uint64_t snapshot_id,
   // queries keep answering from the current plane while blocks stream.
   SDW_ASSIGN_OR_RETURN(std::unique_ptr<cluster::Cluster> restored,
                        backups_.StreamingRestore(snapshot_id, stats));
+  // Page-faulted blocks arrive as stored (encrypted) bytes; reads must
+  // unwrap them from the very first query — wire before the swap.
+  WireEncryptionOn(restored.get());
   // A restore rewinds visible state but must not rewind durable
   // history: it is itself a logged commit (kRestore), so acknowledged
   // statements before it stay acknowledged — recovery re-reaches this
   // exact state by replaying them and then the restore.
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreLog));
-  if (options_.durability.log_commits &&
-      !replaying_.load(std::memory_order_relaxed)) {
-    durability::LogRecord record;
-    record.kind = durability::LogRecord::Kind::kRestore;
-    record.restore_snapshot_id = snapshot_id;
-    SDW_ASSIGN_OR_RETURN(uint64_t lsn, commit_log_.Append(std::move(record)));
-    applied_lsn_.store(lsn, std::memory_order_relaxed);
-  }
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPostLogPreInstall));
-  // Page-faulted blocks arrive as stored (encrypted) bytes; reads must
-  // unwrap them from the very first query — wire before the swap.
-  WireEncryptionOn(restored.get());
-  {
-    common::WriterMutexLock data_lock(data_mu_);
-    // The whole data plane swaps and its stamps start over: the new
-    // generation keeps every cached entry from matching again.
-    cluster_ = std::move(restored);
-    ++generation_;
-  }
-  // In-flight SELECTs pinned the old cluster's shared_ptr and finish
-  // on it; it is freed when the last of them drains.
+  durability::LogRecord record;
+  record.kind = durability::LogRecord::Kind::kRestore;
+  record.restore_snapshot_id = snapshot_id;
+  Install install;
+  install.cluster = std::move(restored);
+  SDW_RETURN_IF_ERROR(CommitWrite(std::move(record), std::move(install)));
   SyncHostManagers();
-  return CrashPoint(durability::kCrashPreAck);
+  return Status::OK();
 }
 
 Result<cluster::Cluster::ResizeStats> Warehouse::Resize(int new_num_nodes) {
@@ -1078,27 +1045,17 @@ Result<cluster::Cluster::ResizeStats> Warehouse::Resize(int new_num_nodes) {
                        }));
   // Topology is part of durable state (placement depends on it), so a
   // resize is a logged commit: the heavy copy above is re-doable, the
-  // swap below is what the kResize record makes durable.
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreLog));
-  if (options_.durability.log_commits &&
-      !replaying_.load(std::memory_order_relaxed)) {
-    durability::LogRecord record;
-    record.kind = durability::LogRecord::Kind::kResize;
-    record.resize_nodes = new_num_nodes;
-    SDW_ASSIGN_OR_RETURN(uint64_t lsn, commit_log_.Append(std::move(record)));
-    applied_lsn_.store(lsn, std::memory_order_relaxed);
-  }
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPostLogPreInstall));
-  {
-    common::WriterMutexLock data_lock(data_mu_);
-    // Same rows on a different topology: results survive semantically
-    // but cached plans are topology-bound, so everything re-derives.
-    // Move the SQL endpoint and decommission the source (§3.1).
-    cluster_ = std::move(target);
-    ++generation_;
-  }
+  // swap is what the kResize record makes durable. Same rows on a
+  // different topology: results survive semantically but cached plans
+  // are topology-bound, so everything re-derives. The swap moves the
+  // SQL endpoint and decommissions the source (§3.1).
+  durability::LogRecord record;
+  record.kind = durability::LogRecord::Kind::kResize;
+  record.resize_nodes = new_num_nodes;
+  Install install;
+  install.cluster = std::move(target);
+  SDW_RETURN_IF_ERROR(CommitWrite(std::move(record), std::move(install)));
   SyncHostManagers();
-  SDW_RETURN_IF_ERROR(CrashPoint(durability::kCrashPreAck));
   return stats;
 }
 
@@ -1131,9 +1088,7 @@ Status Warehouse::RecoverInternal(RecoverStats* stats) {
   {
     common::MutexLock statement_lock(writer_mu_);
     // The crashed process's open transaction (if any) died with it.
-    in_txn_.store(false, std::memory_order_relaxed);
-    txn_manifest_ = backup::SnapshotManifest{};
-    txn_statements_.clear();
+    EndTransaction();
     SDW_ASSIGN_OR_RETURN(uint64_t base, commit_log_.GetRecoveryBase());
     std::shared_ptr<cluster::Cluster> restored;
     if (base != 0) {

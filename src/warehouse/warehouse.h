@@ -76,10 +76,6 @@ struct WarehouseOptions {
   /// modeled: S3 survives the "process", so a fresh Warehouse over the
   /// same S3 plus Recover() is a restart of the same cluster.
   backup::S3* shared_s3 = nullptr;
-  /// Commit-log durability (§2.2: "commits... are logged to S3").
-  /// On by default: every acknowledged mutating statement is in the
-  /// log (or in a snapshot at or above its LSN) before it is acked.
-  durability::DurabilityOptions durability;
   /// RunHealthSweep() triggers an MVCC garbage-collection pass when
   /// the data plane's pending-garbage count (retired chain versions +
   /// dropped shards) reaches this threshold. 0 disables self-GC.
@@ -174,8 +170,10 @@ class Warehouse {
   backup::BackupManager* backups() { return &backups_; }
 
   /// The durable commit log (LSN-sequenced records in the object
-  /// store) and the crash-point controller the tests arm. Once a crash
-  /// fires, every entry point returns kAborted until Recover().
+  /// store; §2.2: "commits... are logged to S3"), always on: every
+  /// acknowledged write is in it, or in a snapshot at or above its LSN.
+  /// And the crash-point controller the tests arm. Once a crash fires,
+  /// every entry point returns kAborted until Recover().
   durability::CommitLog* commit_log() { return &commit_log_; }
   chaos::CrashController* crash_points() { return &crash_; }
   bool crashed() const { return crash_.crashed(); }
@@ -208,7 +206,8 @@ class Warehouse {
   SegmentCache* segment_cache() { return &segment_cache_; }
   ResultCache* result_cache() { return &result_cache_; }
 
-  /// Takes a snapshot of the warehouse.
+  /// Takes a snapshot of the warehouse. Refused inside a transaction:
+  /// the live heads would hold rows the log does not.
   Result<backup::BackupManager::BackupStats> Backup(bool user_initiated = false);
 
   /// Streaming-restores a snapshot and swaps the endpoint onto the
@@ -225,15 +224,7 @@ class Warehouse {
   /// working; no data is touched). Only valid when encrypted.
   Status RotateKeys();
 
-  /// Single-session transactions (§2.1: the leader "coordinates
-  /// serialization and state of transactions"). BEGIN captures an
-  /// in-memory manifest of every block chain; ROLLBACK swaps the chains
-  /// back (blocks are immutable, so pre-transaction blocks are still on
-  /// the device). DROP TABLE / VACUUM / resize are rejected inside a
-  /// transaction because they reclaim blocks eagerly.
-  Status Begin();
-  Status Commit();
-  Status Rollback();
+  /// True while a session's BEGIN is open (see Begin below).
   bool in_transaction() const {
     return in_txn_.load(std::memory_order_relaxed);
   }
@@ -340,17 +331,40 @@ class Warehouse {
   double EstimateSelectSeconds(const std::vector<std::string>& tables)
       SDW_EXCLUDES(data_mu_);
 
-  /// An injectable crash site; no-op while replaying the log (the
-  /// crash already happened — recovery must run to completion).
-  Status CrashPoint(const char* site);
-  /// The durability point of every auto-commit statement: appends one
-  /// kStatement record (or buffers the text when inside a transaction
-  /// — COMMIT logs the batch) before the caller installs. Acked =>
-  /// logged; crashed before the append => atomically absent.
-  Status LogBeforeInstall(const std::string& sql, int session_id);
-  /// Install barrier for multi-shard CommitStaged calls: fires the
-  /// mid-install crash site after the first shard's head swings.
-  std::function<Status(size_t)> MidInstallBarrier();
+  /// Transactions (§2.1: the leader "coordinates serialization and
+  /// state of transactions"), owned by the session that ran BEGIN. BEGIN
+  /// captures an in-memory manifest of every block chain; ROLLBACK swaps
+  /// the chains back (blocks are immutable, so pre-transaction blocks
+  /// are still on the device). DROP TABLE, VACUUM, backup, restore and
+  /// resize are refused inside a transaction.
+  Status Begin(int session_id) SDW_REQUIRES(writer_mu_);
+  Status Commit() SDW_REQUIRES(writer_mu_);
+  Status Rollback() SDW_REQUIRES(writer_mu_);
+  /// kFailedPrecondition when another session's transaction is open:
+  /// its writes, BEGIN, COMMIT and ROLLBACK change nothing (reads run).
+  Status RefuseOtherSessions(int session_id) const SDW_REQUIRES(writer_mu_);
+  /// Forgets the open transaction (COMMIT, ROLLBACK, recovery).
+  void EndTransaction() SDW_REQUIRES(writer_mu_);
+
+  /// What CommitWrite installs under its one exclusive data_mu_ hold.
+  /// At most one member is set; none for ANALYZE and COMMIT.
+  struct Install {
+    /// Staged shard heads (INSERT, COPY, VACUUM).
+    cluster::StagedWrite* staged = nullptr;
+    /// A catalog change (CREATE, DROP).
+    std::function<Status()> apply;
+    /// A data plane to swap in (restore, resize); moves the generation.
+    std::shared_ptr<cluster::Cluster> cluster;
+  };
+  /// The one commit step of every write, log before install (DESIGN.md
+  /// §4i): crash site pre-log, append `record` (an owner's statement in
+  /// the open transaction is buffered for COMMIT instead), crash site
+  /// post-log-pre-install, install (mid-install fires after the first
+  /// staged head), crash site post-install-pre-ack. While the log
+  /// replays it neither logs nor crashes. Callers validate and stage
+  /// before it and run post-install work (ANALYZE, GC) after it.
+  Status CommitWrite(durability::LogRecord record, Install install)
+      SDW_REQUIRES(writer_mu_) SDW_EXCLUDES(data_mu_);
   /// Re-executes one log record through the normal front door.
   Status ApplyLogRecord(const durability::LogRecord& record,
                         RecoverStats* stats);
@@ -413,6 +427,8 @@ class Warehouse {
   mutable common::Mutex writer_mu_ SDW_ACQUIRED_BEFORE(data_mu_){
       common::LockRank::kWarehouseWriter};
   mutable common::SharedMutex data_mu_{common::LockRank::kWarehouseData};
+  /// The session whose BEGIN opened the transaction.
+  int txn_session_ SDW_GUARDED_BY(writer_mu_) = 0;
   /// Counts cluster_ swaps. A swapped-in cluster draws its commit
   /// stamps afresh, so the cache key carries the generation too.
   uint64_t generation_ SDW_GUARDED_BY(data_mu_) = 0;

@@ -102,6 +102,40 @@ TEST(ColumnVectorTest, AppendDatumTypeChecks) {
   EXPECT_TRUE(strs.AppendDatum(Datum::Null()).ok());
 }
 
+TEST(ColumnVectorTest, AppendDatumRejectsValuesTheLaneCannotHold) {
+  // INTEGER and DATE read their lane back as int32, BOOLEAN as 0/1: a
+  // value that would read back differently is refused, not truncated.
+  for (TypeId type : {TypeId::kInt32, TypeId::kDate}) {
+    ColumnVector v(type);
+    EXPECT_EQ(v.AppendDatum(Datum::Int64(3000000000)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(v.AppendDatum(Datum::Int64(-2147483649)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(v.size(), 0u);
+    ASSERT_TRUE(v.AppendDatum(Datum::Int64(-2147483648)).ok());
+    ASSERT_TRUE(v.AppendDatum(Datum::Int64(2147483647)).ok());
+    EXPECT_EQ(v.DatumAt(0).int_value(), -2147483648);
+    EXPECT_EQ(v.DatumAt(1).int_value(), 2147483647);
+  }
+  ColumnVector b(TypeId::kBool);
+  EXPECT_EQ(b.AppendDatum(Datum::Int64(5)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.AppendDatum(Datum::Int64(-1)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(b.size(), 0u);
+  for (const Datum& d : {Datum::Bool(true), Datum::Bool(false),
+                         Datum::Int64(1), Datum::Int64(0)}) {
+    ASSERT_TRUE(b.AppendDatum(d).ok()) << d.ToString();
+  }
+  EXPECT_EQ(b.DatumAt(0), Datum::Bool(true));
+  EXPECT_EQ(b.DatumAt(1), Datum::Bool(false));
+  EXPECT_EQ(b.DatumAt(2), Datum::Bool(true));
+  EXPECT_EQ(b.DatumAt(3), Datum::Bool(false));
+  // BIGINT holds every int64.
+  ColumnVector big(TypeId::kInt64);
+  EXPECT_TRUE(big.AppendDatum(Datum::Int64(3000000000)).ok());
+}
+
 TEST(ColumnVectorTest, TakeIntsWithNulls) {
   ColumnVector v =
       ColumnVector::TakeInts(TypeId::kBool, {1, 0, 0}, {0, 1, 0});

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,6 +167,149 @@ TEST(DurabilityCrashSweep, EverySiteEveryStatementRecoversExactly) {
   }
 }
 
+/// Restarts a warehouse that crashed at `site` as a fresh process over
+/// `shared`, recovers it, and requires the state of `twin`, which never
+/// crashed and ran exactly the acknowledged history; then checks that
+/// the recovered warehouse takes writes again.
+void ExpectRecoversLikeTwin(const std::string& site, backup::S3* shared,
+                            Warehouse* twin) {
+  std::unique_ptr<Warehouse> reborn = MakeWarehouse(shared);
+  auto recovered = reborn->Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(reborn->data_plane()->num_nodes(), twin->data_plane()->num_nodes());
+  EXPECT_EQ(Dump(reborn.get()), Dump(twin));
+  if (site == durability::kCrashTornAppend) {
+    EXPECT_NE(recovered->torn_lsn, 0u);
+  }
+  MustRun(reborn.get(), "CREATE TABLE liveness (x BIGINT)");
+  MustRun(reborn.get(), "INSERT INTO liveness VALUES (99)");
+}
+
+// The other three log record kinds, crashed at every site: a COMMIT
+// (kTransaction), a restore in place (kRestore) and a resize (kResize).
+// A site the write does not pass (mid-install: none of them swings
+// staged heads) must leave the write acknowledged; every other site
+// must crash it.
+constexpr int kSitesOffTheStagedPath = 1;
+
+TEST(DurabilityCrashSweep, EverySiteOfATransactionCommitRecoversExactly) {
+  const std::vector<std::string> prefix = {
+      "CREATE TABLE t (k BIGINT, v BIGINT)",
+      "INSERT INTO t VALUES (1, 10), (2, 20)",
+  };
+  const std::vector<std::string> batch = {
+      "INSERT INTO t VALUES (3, 30)",
+      "COPY t FROM 's3://src/t/' FORMAT CSV",
+  };
+  int crashes = 0;
+  for (const char* site : durability::kAllCrashSites) {
+    SCOPED_TRACE(site);
+    backup::S3 shared;
+    SeedSources(&shared);
+    std::unique_ptr<Warehouse> victim = MakeWarehouse(&shared);
+    for (const std::string& sql : prefix) MustRun(victim.get(), sql);
+    MustRun(victim.get(), "BEGIN");
+    for (const std::string& sql : batch) MustRun(victim.get(), sql);
+    victim->crash_points()->ArmCrash(site);
+    Result<StatementResult> commit = victim->Execute("COMMIT");
+    if (!victim->crashed()) {
+      EXPECT_TRUE(commit.ok()) << commit.status();
+      continue;
+    }
+    EXPECT_EQ(commit.status().code(), StatusCode::kAborted) << commit.status();
+    ++crashes;
+
+    // The batch is durable exactly when COMMIT's append completed; the
+    // statements inside it were only buffered until then.
+    backup::S3 twin_s3;
+    SeedSources(&twin_s3);
+    std::unique_ptr<Warehouse> twin = MakeWarehouse(&twin_s3);
+    for (const std::string& sql : prefix) MustRun(twin.get(), sql);
+    if (SiteDurable(site)) {
+      for (const std::string& sql : batch) MustRun(twin.get(), sql);
+    }
+    ExpectRecoversLikeTwin(site, &shared, twin.get());
+  }
+  EXPECT_EQ(crashes, static_cast<int>(std::size(durability::kAllCrashSites)) -
+                         kSitesOffTheStagedPath);
+}
+
+TEST(DurabilityCrashSweep, EverySiteOfARestoreInPlaceRecoversExactly) {
+  const std::vector<std::string> script = Script();
+  constexpr size_t kSnapshotAfter = 5;
+  // Runs the script with a snapshot taken partway through and returns
+  // the snapshot's id.
+  auto run_with_snapshot = [&](Warehouse* wh) -> uint64_t {
+    for (size_t i = 0; i < kSnapshotAfter; ++i) MustRun(wh, script[i]);
+    auto snapshot = wh->Backup();
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+    for (size_t i = kSnapshotAfter; i < script.size(); ++i) {
+      MustRun(wh, script[i]);
+    }
+    return snapshot.ok() ? snapshot->snapshot_id : 0;
+  };
+  int crashes = 0;
+  for (const char* site : durability::kAllCrashSites) {
+    SCOPED_TRACE(site);
+    backup::S3 shared;
+    SeedSources(&shared);
+    std::unique_ptr<Warehouse> victim = MakeWarehouse(&shared);
+    const uint64_t snapshot_id = run_with_snapshot(victim.get());
+    victim->crash_points()->ArmCrash(site);
+    Status restored = victim->RestoreInPlace(snapshot_id);
+    if (!victim->crashed()) {
+      EXPECT_TRUE(restored.ok()) << restored;
+      continue;
+    }
+    EXPECT_EQ(restored.code(), StatusCode::kAborted) << restored;
+    ++crashes;
+
+    backup::S3 twin_s3;
+    SeedSources(&twin_s3);
+    std::unique_ptr<Warehouse> twin = MakeWarehouse(&twin_s3);
+    const uint64_t twin_snapshot_id = run_with_snapshot(twin.get());
+    ASSERT_EQ(twin_snapshot_id, snapshot_id);
+    if (SiteDurable(site)) {
+      ASSERT_TRUE(twin->RestoreInPlace(twin_snapshot_id).ok());
+    }
+    ExpectRecoversLikeTwin(site, &shared, twin.get());
+  }
+  EXPECT_EQ(crashes, static_cast<int>(std::size(durability::kAllCrashSites)) -
+                         kSitesOffTheStagedPath);
+}
+
+TEST(DurabilityCrashSweep, EverySiteOfAResizeRecoversExactly) {
+  const std::vector<std::string> script = Script();
+  int crashes = 0;
+  for (const char* site : durability::kAllCrashSites) {
+    SCOPED_TRACE(site);
+    backup::S3 shared;
+    SeedSources(&shared);
+    std::unique_ptr<Warehouse> victim = MakeWarehouse(&shared);
+    for (const std::string& sql : script) MustRun(victim.get(), sql);
+    victim->crash_points()->ArmCrash(site);
+    auto resized = victim->Resize(3);
+    if (!victim->crashed()) {
+      EXPECT_TRUE(resized.ok()) << resized.status();
+      continue;
+    }
+    EXPECT_EQ(resized.status().code(), StatusCode::kAborted)
+        << resized.status();
+    ++crashes;
+
+    backup::S3 twin_s3;
+    SeedSources(&twin_s3);
+    std::unique_ptr<Warehouse> twin = MakeWarehouse(&twin_s3);
+    for (const std::string& sql : script) MustRun(twin.get(), sql);
+    if (SiteDurable(site)) {
+      ASSERT_TRUE(twin->Resize(3).ok());
+    }
+    ExpectRecoversLikeTwin(site, &shared, twin.get());
+  }
+  EXPECT_EQ(crashes, static_cast<int>(std::size(durability::kAllCrashSites)) -
+                         kSitesOffTheStagedPath);
+}
+
 // ---------------------------------------------------------------------------
 // Commit-log wire format
 // ---------------------------------------------------------------------------
@@ -308,16 +452,6 @@ TEST(DurabilityRecovery, RecoverIsIdempotent) {
   EXPECT_EQ(Dump(reborn.get()), state);
 }
 
-TEST(DurabilityRecovery, LoggingOffMeansNoWalObjectsAndEmptyRecovery) {
-  backup::S3 shared;
-  WarehouseOptions options = SmallOptions(&shared);
-  options.durability.log_commits = false;
-  auto wh = std::make_unique<Warehouse>(options);
-  ASSERT_TRUE(wh->Execute("CREATE TABLE t (k BIGINT, v BIGINT)").ok());
-  ASSERT_TRUE(wh->Execute("INSERT INTO t VALUES (1, 10)").ok());
-  EXPECT_TRUE(shared.region("us-east-1")->ListPrefix("simpledw/wal").empty());
-}
-
 // ---------------------------------------------------------------------------
 // Transactions
 // ---------------------------------------------------------------------------
@@ -369,6 +503,31 @@ TEST(DurabilityTxn, CrashAfterCommitLogAppendKeepsTheTransaction) {
   auto count = reborn->Execute("SELECT COUNT(*) AS n FROM t");
   ASSERT_TRUE(count.ok()) << count.status();
   EXPECT_EQ(count->rows.columns[0].IntAt(0), 1);
+}
+
+TEST(DurabilityTxn, BackupInsideATransactionIsRefused) {
+  backup::S3 shared;
+  std::unique_ptr<Warehouse> wh = MakeWarehouse(&shared);
+  MustRun(wh.get(), "CREATE TABLE t (k BIGINT, v BIGINT)");
+  MustRun(wh.get(), "INSERT INTO t VALUES (1, 10)");
+  MustRun(wh.get(), "BEGIN");
+  MustRun(wh.get(), "INSERT INTO t VALUES (2, 20), (3, 30)");
+  // The live heads hold the open transaction's rows, and the log does
+  // not: a snapshot now would bring them back after a ROLLBACK.
+  EXPECT_EQ(wh->Backup(/*user_initiated=*/true).status().code(),
+            StatusCode::kFailedPrecondition);
+  MustRun(wh.get(), "ROLLBACK");
+  auto live = wh->Execute("SELECT COUNT(*) AS n FROM t");
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_EQ(live->rows.columns[0].IntAt(0), 1);
+
+  std::unique_ptr<Warehouse> reborn = MakeWarehouse(&shared);
+  ASSERT_TRUE(reborn->Recover().ok());
+  auto count = reborn->Execute("SELECT COUNT(*) AS n FROM t");
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(count->rows.columns[0].IntAt(0), 1);
+  // Outside the transaction the backup runs.
+  EXPECT_TRUE(reborn->Backup(/*user_initiated=*/true).ok());
 }
 
 // ---------------------------------------------------------------------------

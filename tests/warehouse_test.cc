@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "backup/s3sim.h"
 #include "common/random.h"
 #include "obs/registry.h"
 #include "warehouse/warehouse.h"
@@ -322,6 +326,182 @@ TEST_F(WarehouseTest, ResultTableRendering) {
   EXPECT_NE(table.find("hello"), std::string::npos);
   EXPECT_NE(table.find("NULL"), std::string::npos);
   EXPECT_NE(table.find("(2 rows)"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// A transaction belongs to the session that opened it
+// ---------------------------------------------------------------------------
+
+StatementResult RunIn(Warehouse::Session* session, const std::string& sql) {
+  auto r = session->Execute(sql);
+  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status();
+  return r.ok() ? std::move(*r) : StatementResult{};
+}
+
+StatusCode CodeIn(Warehouse::Session* session, const std::string& sql) {
+  return session->Execute(sql).status().code();
+}
+
+TEST(TransactionOwnerTest, OtherSessionsAreRefusedUntilTheTransactionEnds) {
+  Warehouse wh(SmallOptions());
+  Warehouse::Session a = wh.CreateSession();
+  Warehouse::Session b = wh.CreateSession();
+  RunIn(&b, "CREATE TABLE t (k BIGINT)");
+  RunIn(&b, "INSERT INTO t VALUES (1)");
+  RunIn(&a, "BEGIN");
+  RunIn(&a, "INSERT INTO t VALUES (2)");
+
+  // Every write of another session is refused and changes nothing.
+  for (const char* sql :
+       {"INSERT INTO t VALUES (42)", "CREATE TABLE u (x BIGINT)",
+        "DROP TABLE t", "VACUUM t", "ANALYZE t",
+        "COPY t FROM 's3://nowhere/t/' FORMAT CSV"}) {
+    EXPECT_EQ(CodeIn(&b, sql), StatusCode::kFailedPrecondition) << sql;
+  }
+  // It can neither end the owner's transaction nor open one of its own.
+  EXPECT_EQ(CodeIn(&b, "COMMIT"), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(CodeIn(&b, "ROLLBACK"), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(CodeIn(&b, "BEGIN"), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(wh.in_transaction());
+  EXPECT_FALSE(wh.data_plane()->catalog()->GetTable("u").ok());
+  // Reads are served (they see the open transaction's rows: no
+  // per-session snapshots yet).
+  EXPECT_EQ(RunIn(&b, "SELECT COUNT(*) AS n FROM t").rows.columns[0].IntAt(0),
+            2);
+  EXPECT_TRUE(b.Execute("SELECT COUNT(*) AS n FROM stl_query").ok());
+
+  RunIn(&a, "COMMIT");
+  // Once the transaction ends the other session writes again.
+  RunIn(&b, "INSERT INTO t VALUES (42)");
+  EXPECT_EQ(RunIn(&b, "SELECT COUNT(*) AS n FROM t").rows.columns[0].IntAt(0),
+            3);
+  RunIn(&b, "BEGIN");
+  EXPECT_EQ(CodeIn(&a, "INSERT INTO t VALUES (43)"),
+            StatusCode::kFailedPrecondition);
+  RunIn(&b, "ROLLBACK");
+}
+
+TEST(TransactionOwnerTest, EveryAcknowledgedWriteSurvivesRollbackAndRestart) {
+  backup::S3 shared;
+  WarehouseOptions options = SmallOptions();
+  options.shared_s3 = &shared;
+  std::vector<int64_t> acknowledged;
+  {
+    Warehouse wh(options);
+    Warehouse::Session a = wh.CreateSession();
+    Warehouse::Session b = wh.CreateSession();
+    auto insert = [&](int64_t k) {
+      if (b.Execute("INSERT INTO t VALUES (" + std::to_string(k) + ")").ok()) {
+        acknowledged.push_back(k);
+      }
+    };
+    RunIn(&b, "CREATE TABLE t (k BIGINT)");
+    // Another session's ROLLBACK must not undo B's acknowledged write.
+    RunIn(&a, "BEGIN");
+    insert(42);
+    RunIn(&a, "ROLLBACK");
+    insert(7);
+    // Nor may B's write be buffered into A's transaction, out of the
+    // log: the process ends with A's transaction still open.
+    RunIn(&a, "BEGIN");
+    insert(8);
+    EXPECT_EQ(acknowledged, (std::vector<int64_t>{7}));
+    EXPECT_EQ(RunIn(&b, "SELECT COUNT(*) AS n FROM t").rows.columns[0].IntAt(0),
+              static_cast<int64_t>(acknowledged.size()));
+  }
+  Warehouse reborn(options);
+  ASSERT_TRUE(reborn.Recover().ok());
+  auto keys = reborn.Execute("SELECT k FROM t ORDER BY k");
+  ASSERT_TRUE(keys.ok()) << keys.status();
+  std::vector<int64_t> recovered;
+  for (size_t i = 0; i < keys->rows.num_rows(); ++i) {
+    recovered.push_back(keys->rows.columns[0].IntAt(i));
+  }
+  EXPECT_EQ(recovered, acknowledged);
+}
+
+// ---------------------------------------------------------------------------
+// INSERT stores only values its column can hold
+// ---------------------------------------------------------------------------
+
+TEST_F(WarehouseTest, InsertRejectsValuesOutsideTheColumnsDomain) {
+  MustRun("CREATE TABLE t (i INTEGER, b BOOLEAN, d DATE, k BIGINT)");
+  struct Probe {
+    const char* sql;
+    const char* column;
+  };
+  for (const Probe& probe : {
+           Probe{"INSERT INTO t VALUES (3000000000, TRUE, 0, 1)", "'i'"},
+           Probe{"INSERT INTO t VALUES (-2147483649, TRUE, 0, 1)", "'i'"},
+           Probe{"INSERT INTO t VALUES (1, 5, 0, 2)", "'b'"},
+           Probe{"INSERT INTO t VALUES (1, -1, 0, 2)", "'b'"},
+           Probe{"INSERT INTO t VALUES (1, TRUE, 2147483648, 3)", "'d'"},
+           // One bad row fails the whole statement.
+           Probe{"INSERT INTO t VALUES (1, TRUE, 0, 4), (3000000000, TRUE, 0, 5)",
+                 "'i'"},
+       }) {
+    auto r = wh_->Execute(probe.sql);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << probe.sql;
+    EXPECT_NE(r.status().message().find(probe.column), std::string::npos)
+        << probe.sql << " -> " << r.status();
+  }
+  EXPECT_EQ(MustRun("SELECT COUNT(*) AS n FROM t").rows.columns[0].IntAt(0), 0);
+  EXPECT_EQ(MustRun("SELECT COUNT(*) AS n FROM t WHERE i < 0")
+                .rows.columns[0]
+                .IntAt(0),
+            0);
+
+  // The extremes of each domain insert and read back unchanged.
+  MustRun(
+      "INSERT INTO t VALUES (-2147483648, FALSE, -2147483648, 1), "
+      "(2147483647, TRUE, 2147483647, 2), (0, 0, 0, 3), (1, 1, 1, 4)");
+  auto rows = MustRun("SELECT i, b, d, k FROM t ORDER BY k");
+  ASSERT_EQ(rows.rows.num_rows(), 4u);
+  EXPECT_EQ(rows.rows.columns[0].DatumAt(0), Datum::Int32(-2147483648));
+  EXPECT_EQ(rows.rows.columns[0].DatumAt(1), Datum::Int32(2147483647));
+  EXPECT_EQ(rows.rows.columns[1].DatumAt(0), Datum::Bool(false));
+  EXPECT_EQ(rows.rows.columns[1].DatumAt(1), Datum::Bool(true));
+  EXPECT_EQ(rows.rows.columns[1].DatumAt(2), Datum::Bool(false));
+  EXPECT_EQ(rows.rows.columns[1].DatumAt(3), Datum::Bool(true));
+  EXPECT_EQ(rows.rows.columns[2].DatumAt(0), Datum::Date(-2147483648));
+  EXPECT_EQ(rows.rows.columns[2].DatumAt(1), Datum::Date(2147483647));
+  EXPECT_EQ(MustRun("SELECT COUNT(*) AS n FROM t WHERE b = TRUE")
+                .rows.columns[0]
+                .IntAt(0),
+            2);
+  EXPECT_EQ(MustRun("SELECT COUNT(*) AS n FROM t WHERE i < 0")
+                .rows.columns[0]
+                .IntAt(0),
+            1);
+}
+
+TEST_F(WarehouseTest, DataPlaneInsertRejectsValuesOutsideTheColumnsDomain) {
+  MustRun("CREATE TABLE t (i INTEGER, b BOOLEAN, d DATE, k BIGINT)");
+  // Lanes built directly, past AppendDatum's check: the data plane is
+  // where every write arrives, so it refuses them too.
+  auto run = [](int64_t i, int64_t b, int64_t d) {
+    std::vector<ColumnVector> columns;
+    for (TypeId type :
+         {TypeId::kInt32, TypeId::kBool, TypeId::kDate, TypeId::kInt64}) {
+      columns.emplace_back(type);
+    }
+    columns[0].AppendInt(i);
+    columns[1].AppendInt(b);
+    columns[2].AppendInt(d);
+    columns[3].AppendInt(1);
+    return columns;
+  };
+  cluster::Cluster* plane = wh_->data_plane();
+  for (const auto& [columns, name] :
+       {std::pair{run(3000000000, 1, 0), "'i'"}, std::pair{run(1, 5, 0), "'b'"},
+        std::pair{run(1, 1, -3000000000), "'d'"}}) {
+    Status status = plane->InsertRows("t", columns);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(name), std::string::npos) << status;
+  }
+  EXPECT_EQ(*plane->TotalRows("t"), 0u);
+  ASSERT_TRUE(plane->InsertRows("t", run(-2147483648, 0, 2147483647)).ok());
+  EXPECT_EQ(*plane->TotalRows("t"), 1u);
 }
 
 }  // namespace
