@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -270,6 +271,58 @@ void BM_HashAggregateStringKey(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_HashAggregateStringKey);
+
+// One 16K-row block of the scan workload's `region` column: 25 distinct
+// "region-NN" values in random order.
+ColumnVector RegionBlock() {
+  Rng rng(6);
+  ColumnVector v(TypeId::kString);
+  char name[16];
+  for (int i = 0; i < 16384; ++i) {
+    std::snprintf(name, sizeof(name), "region-%02d",
+                  static_cast<int>(rng.Uniform(25)));
+    v.AppendString(name);
+  }
+  return v;
+}
+
+// Decodes the region block under each VARCHAR codec, straight into the
+// string lane (items = rows).
+void BM_DecodeVarchar(benchmark::State& state, ColumnEncoding encoding) {
+  const ColumnVector v = RegionBlock();
+  sdw::Bytes encoded;
+  SDW_CHECK_OK(sdw::compress::EncodeColumn(encoding, v, &encoded));
+  for (auto _ : state) {
+    auto decoded =
+        sdw::compress::DecodeColumn(encoding, TypeId::kString, encoded);
+    SDW_CHECK(decoded.ok());
+    benchmark::DoNotOptimize(*decoded);
+  }
+  state.SetItemsProcessed(state.iterations() * v.size());
+}
+BENCHMARK_CAPTURE(BM_DecodeVarchar, raw, ColumnEncoding::kRaw);
+BENCHMARK_CAPTURE(BM_DecodeVarchar, runlength, ColumnEncoding::kRunLength);
+BENCHMARK_CAPTURE(BM_DecodeVarchar, bytedict, ColumnEncoding::kBytedict);
+BENCHMARK_CAPTURE(BM_DecodeVarchar, text255, ColumnEncoding::kText255);
+BENCHMARK_CAPTURE(BM_DecodeVarchar, lzo, ColumnEncoding::kLz);
+
+// Gathers 4,096 rows of the decoded region block into an empty vector:
+// a scan batch's AppendRange, or AppendSelected of every fourth row of
+// the block as a filter or join output does (items = rows copied).
+void BM_GatherVarchar(benchmark::State& state, bool selected) {
+  const ColumnVector block = RegionBlock();
+  std::vector<uint32_t> indices;
+  for (uint32_t i = 0; i < block.size(); i += 4) indices.push_back(i);
+  for (auto _ : state) {
+    ColumnVector out(TypeId::kString);
+    SDW_CHECK_OK(selected ? out.AppendSelected(block, indices)
+                          : out.AppendRange(block, 4096, 8192));
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK_CAPTURE(BM_GatherVarchar, range, false);
+BENCHMARK_CAPTURE(BM_GatherVarchar, selected, true);
 
 // Probes a 1K-row build side (one match per probe row) and gathers the
 // joined columns: the broadcast-join kernel.

@@ -1,6 +1,7 @@
 #include "catalog/types.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -75,12 +76,13 @@ std::string Datum::ToString() const {
   }
 }
 
-void ColumnVector::Reserve(size_t n) {
+void ColumnVector::Reserve(size_t n, size_t string_bytes) {
   nulls_.reserve(n);
   if (type_ == TypeId::kDouble) {
     doubles_.reserve(n);
   } else if (type_ == TypeId::kString) {
-    strings_.reserve(n);
+    offsets_.reserve(n + 1);
+    arena_.reserve(string_bytes);
   } else {
     ints_.reserve(n);
   }
@@ -90,7 +92,8 @@ void ColumnVector::AppendNull() {
   if (type_ == TypeId::kDouble) {
     doubles_.push_back(0.0);
   } else if (type_ == TypeId::kString) {
-    strings_.emplace_back();
+    StartOffsets();
+    offsets_.push_back(arena_.size());
   } else {
     ints_.push_back(0);
   }
@@ -140,9 +143,21 @@ Datum ColumnVector::DatumAt(size_t i) const {
     case TypeId::kDouble:
       return Datum::Double(doubles_[i]);
     case TypeId::kString:
-      return Datum::String(strings_[i]);
+      return Datum::String(std::string(StringAt(i)));
   }
   return Datum::Null();
+}
+
+int ColumnVector::Compare(size_t a, size_t b) const {
+  if (IsNull(a) || IsNull(b)) return IsNull(b) - IsNull(a);
+  switch (type_) {
+    case TypeId::kString:
+      return StringAt(a).compare(StringAt(b));
+    case TypeId::kDouble:
+      return CompareDoubles(doubles_[a], doubles_[b]);
+    default:
+      return (ints_[a] > ints_[b]) - (ints_[a] < ints_[b]);
+  }
 }
 
 Status ColumnVector::AppendRange(const ColumnVector& other, size_t begin,
@@ -153,13 +168,25 @@ Status ColumnVector::AppendRange(const ColumnVector& other, size_t begin,
   if (end > other.size() || begin > end) {
     return Status::OutOfRange("AppendRange bounds");
   }
+  if (begin == end) return Status::OK();
   // Bulk lane copies (hot path for scans and exchanges).
   if (type_ == TypeId::kDouble) {
     doubles_.insert(doubles_.end(), other.doubles_.begin() + begin,
                     other.doubles_.begin() + end);
   } else if (type_ == TypeId::kString) {
-    strings_.insert(strings_.end(), other.strings_.begin() + begin,
-                    other.strings_.begin() + end);
+    // One copy of the bytes, then the offsets shifted to this arena.
+    StartOffsets();
+    const uint64_t* from = other.offsets_.data();
+    const uint64_t shift = arena_.size() - from[begin];  // modulo 2^64
+    const uint64_t bytes = from[end] - from[begin];
+    if (bytes > 0) {  // an empty arena's data() may be null
+      std::memcpy(GrowArena(arena_.size() + bytes),
+                  other.arena_.data() + from[begin], bytes);
+    }
+    const size_t base = offsets_.size();
+    offsets_.resize(base + (end - begin));
+    uint64_t* to = offsets_.data() + base;
+    for (size_t i = begin; i < end; ++i) *to++ = from[i + 1] + shift;
   } else {
     ints_.insert(ints_.end(), other.ints_.begin() + begin,
                  other.ints_.begin() + end);
@@ -192,13 +219,6 @@ ColumnVector ColumnVector::TakeDoubles(std::vector<double> lane) {
   return v;
 }
 
-ColumnVector ColumnVector::TakeStrings(std::vector<std::string> lane) {
-  ColumnVector v(TypeId::kString);
-  v.nulls_.assign(lane.size(), 0);
-  v.strings_ = std::move(lane);
-  return v;
-}
-
 Status ColumnVector::AppendSelected(const ColumnVector& other,
                                     const std::vector<uint32_t>& indices) {
   if (other.type_ != type_) {
@@ -213,10 +233,25 @@ Status ColumnVector::AppendSelected(const ColumnVector& other,
       nulls_[base + i] = other.nulls_[indices[i]];
     }
   } else if (type_ == TypeId::kString) {
-    strings_.resize(base + indices.size());
+    // The offsets first, which size the arena; then each value's bytes.
+    StartOffsets();
+    const uint64_t* from = other.offsets_.data();
+    offsets_.resize(base + 1 + indices.size());
+    uint64_t* to = offsets_.data() + base + 1;
+    uint64_t end = arena_.size();
     for (size_t i = 0; i < indices.size(); ++i) {
-      strings_[base + i] = other.strings_[indices[i]];
+      end += from[indices[i] + 1] - from[indices[i]];
+      to[i] = end;
       nulls_[base + i] = other.nulls_[indices[i]];
+    }
+    if (end > arena_.size()) {  // else no bytes, and data() may be null
+      char* dst = GrowArena(end);
+      const char* src = other.arena_.data();
+      for (uint32_t idx : indices) {
+        const uint64_t len = from[idx + 1] - from[idx];
+        std::memcpy(dst, src + from[idx], len);
+        dst += len;
+      }
     }
   } else {
     ints_.resize(base + indices.size());

@@ -2,7 +2,9 @@
 #define SDW_CATALOG_TYPES_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -122,10 +124,14 @@ using Row = std::vector<Datum>;
 
 /// A typed column of values with a null bitmap, the unit of vectorized
 /// execution and of block encoding. Integer-like types share the int64
-/// lane; doubles and strings have their own lanes.
+/// lane; doubles have their own lane. A VARCHAR column is one byte arena
+/// plus 64-bit offsets: value i is arena()[offsets()[i], offsets()[i + 1])
+/// and a NULL is a zero-length value (DESIGN.md 4n).
 class ColumnVector {
  public:
-  explicit ColumnVector(TypeId type) : type_(type) {}
+  explicit ColumnVector(TypeId type) : type_(type) {
+    if (type == TypeId::kString) offsets_.push_back(0);
+  }
 
   /// Wraps an already-built lane without copying (codec decode fast
   /// paths, lane kernels). `nulls` is one flag per value; empty means
@@ -133,14 +139,15 @@ class ColumnVector {
   static ColumnVector TakeInts(TypeId type, std::vector<int64_t> lane,
                                std::vector<uint8_t> nulls = {});
   static ColumnVector TakeDoubles(std::vector<double> lane);
-  static ColumnVector TakeStrings(std::vector<std::string> lane);
 
   TypeId type() const { return type_; }
   size_t size() const { return nulls_.size(); }
   bool has_nulls() const { return null_count_ > 0; }
   size_t null_count() const { return null_count_; }
 
-  void Reserve(size_t n);
+  /// Reserves room for `n` values and, for VARCHAR, `string_bytes` bytes
+  /// of arena.
+  void Reserve(size_t n, size_t string_bytes = 0);
 
   void AppendInt(int64_t v) {
     ints_.push_back(v);
@@ -150,11 +157,20 @@ class ColumnVector {
     doubles_.push_back(v);
     nulls_.push_back(0);
   }
-  void AppendString(std::string v) {
-    strings_.push_back(std::move(v));
+  void AppendString(std::string_view v) {
+    StartOffsets();
+    arena_.insert(arena_.end(), v.begin(), v.end());
+    offsets_.push_back(arena_.size());
     nulls_.push_back(0);
   }
   void AppendNull();
+
+  /// Appends `n` VARCHAR values with each lane sized once: value i is
+  /// value_at(i), called once per i in order, or NULL where is_null(i).
+  /// `max_bytes` bounds the total size of the non-NULL values.
+  template <typename NullAt, typename ValueAt>
+  void AppendStrings(size_t n, size_t max_bytes, NullAt is_null,
+                     ValueAt value_at);
 
   /// Appends a Datum, checking its type and its domain (CheckIntLaneValue).
   Status AppendDatum(const Datum& d);
@@ -162,15 +178,25 @@ class ColumnVector {
   bool IsNull(size_t i) const { return nulls_[i] != 0; }
   int64_t IntAt(size_t i) const { return ints_[i]; }
   double DoubleAt(size_t i) const { return doubles_[i]; }
-  const std::string& StringAt(size_t i) const { return strings_[i]; }
+  /// Value i of a VARCHAR column; valid until the vector is next
+  /// modified, moved or destroyed.
+  std::string_view StringAt(size_t i) const {
+    return {arena_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
 
   /// Value at i as a Datum (NULL-aware).
   Datum DatumAt(size_t i) const;
 
-  /// Direct lane access for tight loops and encoders.
+  /// DatumAt(a).Compare(DatumAt(b)), read from the lanes: NULLs first,
+  /// doubles by CompareDoubles, VARCHAR by bytes.
+  int Compare(size_t a, size_t b) const;
+
+  /// Direct lane access for tight loops and encoders. A VARCHAR column's
+  /// offsets hold size() + 1 entries once it has a value.
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  const std::vector<std::string>& strings() const { return strings_; }
+  const std::vector<uint64_t>& offsets() const { return offsets_; }
+  const std::vector<char>& arena() const { return arena_; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
 
   /// Appends rows [begin, end) of other (same type) to this vector.
@@ -182,13 +208,51 @@ class ColumnVector {
                         const std::vector<uint32_t>& indices);
 
  private:
+  /// Restores the leading zero offset a moved-from VARCHAR vector lost.
+  void StartOffsets() {
+    if (offsets_.empty()) offsets_.push_back(0);
+  }
+  /// Grows the arena to `size` bytes and returns where the new bytes go.
+  char* GrowArena(size_t size) {
+    const size_t at = arena_.size();
+    arena_.resize(size);
+    return arena_.data() + at;
+  }
+
   TypeId type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  std::vector<std::string> strings_;
+  std::vector<uint64_t> offsets_;
+  std::vector<char> arena_;
   std::vector<uint8_t> nulls_;
   size_t null_count_ = 0;
 };
+
+template <typename NullAt, typename ValueAt>
+void ColumnVector::AppendStrings(size_t n, size_t max_bytes, NullAt is_null,
+                                 ValueAt value_at) {
+  StartOffsets();
+  const size_t base = nulls_.size();
+  offsets_.resize(base + 1 + n);
+  nulls_.resize(base + n);
+  const size_t arena_start = arena_.size();
+  char* dst = GrowArena(arena_start + max_bytes);
+  const char* const begin = arena_.data();
+  uint64_t* offsets = offsets_.data() + base + 1;
+  uint8_t* nulls = nulls_.data() + base;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string_view v = value_at(i);
+    if (is_null(i)) {
+      nulls[i] = 1;
+      ++null_count_;
+    } else if (!v.empty()) {  // an empty view's data() may be null
+      std::memcpy(dst, v.data(), v.size());
+      dst += v.size();
+    }
+    offsets[i] = static_cast<uint64_t>(dst - begin);
+  }
+  arena_.resize(static_cast<size_t>(dst - begin));
+}
 
 }  // namespace sdw
 

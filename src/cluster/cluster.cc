@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "exec/hash_table.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "zorder/zorder.h"
@@ -17,7 +18,8 @@ uint64_t EstimateBytes(const std::vector<ColumnVector>& columns) {
   uint64_t total = 0;
   for (const auto& col : columns) {
     if (col.type() == TypeId::kString) {
-      for (const auto& s : col.strings()) total += s.size() + 4;
+      // Each value's length plus 4; a NULL is zero bytes long.
+      total += col.arena().size() + 4 * col.size();
     } else {
       total += col.size() * 8;
     }
@@ -456,14 +458,15 @@ namespace {
 Result<std::vector<ColumnVector>> TakeRows(
     const std::vector<ColumnVector>& columns,
     const std::vector<uint64_t>& indices) {
+  if (!columns.empty() && columns[0].size() > UINT32_MAX) {
+    return Status::OutOfRange("an insert run holds more than 2^32 rows");
+  }
+  const std::vector<uint32_t> rows(indices.begin(), indices.end());
   std::vector<ColumnVector> out;
   out.reserve(columns.size());
   for (const auto& col : columns) {
     ColumnVector taken(col.type());
-    taken.Reserve(indices.size());
-    for (uint64_t i : indices) {
-      SDW_RETURN_IF_ERROR(taken.AppendRange(col, i, i + 1));
-    }
+    SDW_RETURN_IF_ERROR(taken.AppendSelected(col, rows));
     out.push_back(std::move(taken));
   }
   return out;
@@ -482,7 +485,7 @@ Result<std::vector<uint64_t>> SortOrder(
   if (schema.sort_style() == SortStyle::kCompound) {
     std::stable_sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
       for (int key : schema.sort_keys()) {
-        int cmp = columns[key].DatumAt(a).Compare(columns[key].DatumAt(b));
+        int cmp = columns[key].Compare(a, b);
         if (cmp != 0) return cmp < 0;
       }
       return false;
@@ -641,19 +644,30 @@ Status Cluster::Analyze(const std::string& table) {
     std::iota(all_cols.begin(), all_cols.end(), 0);
     SDW_ASSIGN_OR_RETURN(std::vector<ColumnVector> data,
                          shard_sp->ReadAll(*version, all_cols));
+    std::vector<uint64_t> row_hashes;
     for (size_t c = 0; c < data.size(); ++c) {
       ColumnStats& cs = stats.columns[c];
-      for (size_t i = 0; i < data[c].size(); ++i) {
-        Datum v = data[c].DatumAt(i);
-        if (v.is_null()) {
+      const ColumnVector& col = data[c];
+      exec::HashColumn(col, &row_hashes);  // Datum::Hash of every row
+      // This slice's first minimum and first maximum, read from the lanes.
+      const size_t none = col.size();
+      size_t lo = none;
+      size_t hi = none;
+      for (size_t i = 0; i < col.size(); ++i) {
+        if (col.IsNull(i)) {
           ++cs.null_count;
           continue;
         }
-        if (cs.min.is_null() || v < cs.min) cs.min = v;
-        if (cs.max.is_null() || cs.max < v) cs.max = v;
+        if (lo == none || col.Compare(i, lo) < 0) lo = i;
+        if (hi == none || col.Compare(hi, i) < 0) hi = i;
         // NDV estimate via a capped hash set (sampled sketch).
-        if (hashes[c].size() < 100000) hashes[c].insert(v.Hash());
+        if (hashes[c].size() < 100000) hashes[c].insert(row_hashes[i]);
       }
+      if (lo == none) continue;
+      const Datum min = col.DatumAt(lo);
+      const Datum max = col.DatumAt(hi);
+      if (cs.min.is_null() || min < cs.min) cs.min = min;
+      if (cs.max.is_null() || cs.max < max) cs.max = max;
     }
   }
   for (size_t c = 0; c < hashes.size(); ++c) {
@@ -745,31 +759,17 @@ Result<std::unique_ptr<Cluster>> Cluster::Resize(
   auto target = std::make_unique<Cluster>(target_config);
   if (on_target_created) on_target_created(target.get());
 
-  // 2. Source goes read-only; reads keep working (§3.1).
+  // 2. Source goes read-only; reads keep working (§3.1). A failed copy
+  //    leaves it writable again.
   set_read_only(true);
 
   // 3. Parallel node-to-node copy: every table's rows stream from
   //    source shards to the target's distribution.
   uint64_t bytes_moved = 0;
-  for (const std::string& table : catalog_.TableNames()) {
-    SDW_ASSIGN_OR_RETURN(TableSchema schema, catalog_.GetTable(table));
-    SDW_RETURN_IF_ERROR(target->CreateTable(schema));
-    std::vector<int> all_cols(schema.num_columns());
-    std::iota(all_cols.begin(), all_cols.end(), 0);
-    const int slice_count =
-        schema.dist_style() == DistStyle::kAll ? 1 : total_slices();
-    for (int s = 0; s < slice_count; ++s) {
-      SDW_ASSIGN_OR_RETURN(std::shared_ptr<storage::TableShard> shard_sp,
-                           shard_ref(s, table));
-      storage::ShardSnapshot version = shard_sp->Snapshot();
-      if (version->row_count == 0) continue;
-      SDW_ASSIGN_OR_RETURN(std::vector<ColumnVector> data,
-                           shard_sp->ReadAll(*version, all_cols));
-      bytes_moved += EstimateBytes(data);
-      SDW_RETURN_IF_ERROR(target->InsertRows(table, data));
-    }
-    catalog_.UpdateStats(table, catalog_.GetStats(table));
-    target->catalog_.UpdateStats(table, catalog_.GetStats(table));
+  Status copied = CopyTablesTo(target.get(), &bytes_moved);
+  if (!copied.ok()) {
+    set_read_only(false);
+    return copied;
   }
 
   if (stats != nullptr) {
@@ -784,6 +784,30 @@ Result<std::unique_ptr<Cluster>> Cluster::Resize(
   // 4. The control plane moves the SQL endpoint and decommissions the
   //    source; data-plane-side we just hand the target back.
   return target;
+}
+
+Status Cluster::CopyTablesTo(Cluster* target, uint64_t* bytes_moved) {
+  for (const std::string& table : catalog_.TableNames()) {
+    SDW_ASSIGN_OR_RETURN(TableSchema schema, catalog_.GetTable(table));
+    SDW_RETURN_IF_ERROR(target->CreateTable(schema));
+    std::vector<int> all_cols(schema.num_columns());
+    std::iota(all_cols.begin(), all_cols.end(), 0);
+    const int slice_count =
+        schema.dist_style() == DistStyle::kAll ? 1 : total_slices();
+    for (int s = 0; s < slice_count; ++s) {
+      SDW_ASSIGN_OR_RETURN(std::shared_ptr<storage::TableShard> shard_sp,
+                           shard_ref(s, table));
+      storage::ShardSnapshot version = shard_sp->Snapshot();
+      if (version->row_count == 0) continue;
+      SDW_ASSIGN_OR_RETURN(std::vector<ColumnVector> data,
+                           shard_sp->ReadAll(*version, all_cols));
+      *bytes_moved += EstimateBytes(data);
+      SDW_RETURN_IF_ERROR(target->InsertRows(table, data));
+    }
+    catalog_.UpdateStats(table, catalog_.GetStats(table));
+    target->catalog_.UpdateStats(table, catalog_.GetStats(table));
+  }
+  return Status::OK();
 }
 
 }  // namespace sdw::cluster

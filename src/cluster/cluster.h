@@ -348,6 +348,10 @@ class Cluster {
   }
 
  private:
+  /// Resize's copy: creates every table on `target` and inserts each
+  /// shard's rows there, adding the bytes read to *bytes_moved.
+  Status CopyTablesTo(Cluster* target, uint64_t* bytes_moved);
+
   /// Routes every node store's read-miss through the masking chain:
   /// secondary replica first, then the page-fault handler.
   void WireReadPath() SDW_EXCLUDES(mu_);

@@ -26,17 +26,26 @@ bool GetVarint64(const Bytes& src, size_t* pos, uint64_t* out) {
   return false;
 }
 
-void PutLengthPrefixed(Bytes* dst, const std::string& s) {
+void PutLengthPrefixed(Bytes* dst, std::string_view s) {
   PutVarint64(dst, s.size());
   dst->insert(dst->end(), s.begin(), s.end());
 }
 
-bool GetLengthPrefixed(const Bytes& src, size_t* pos, std::string* out) {
+bool GetLengthPrefixedView(const Bytes& src, size_t* pos,
+                           std::string_view* out) {
   uint64_t len = 0;
-  if (!GetVarint64(src, pos, &len)) return false;
-  if (*pos + len > src.size()) return false;
-  out->assign(reinterpret_cast<const char*>(src.data()) + *pos, len);
+  // GetVarint64 leaves *pos <= src.size(), so the subtraction cannot wrap
+  // (and a huge length cannot wrap *pos + len past the check).
+  if (!GetVarint64(src, pos, &len) || len > src.size() - *pos) return false;
+  *out = {reinterpret_cast<const char*>(src.data()) + *pos, len};
   *pos += len;
+  return true;
+}
+
+bool GetLengthPrefixed(const Bytes& src, size_t* pos, std::string* out) {
+  std::string_view view;
+  if (!GetLengthPrefixedView(src, pos, &view)) return false;
+  out->assign(view);
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sdw {
@@ -54,7 +55,12 @@ inline int64_t ZigZagDecode(uint64_t v) {
 }
 
 /// Appends a length-prefixed string.
-void PutLengthPrefixed(Bytes* dst, const std::string& s);
+void PutLengthPrefixed(Bytes* dst, std::string_view s);
+
+/// Reads a length-prefixed string at *pos as a view into `src`. Returns
+/// false on truncation.
+bool GetLengthPrefixedView(const Bytes& src, size_t* pos,
+                           std::string_view* out);
 
 /// Reads a length-prefixed string at *pos. Returns false on truncation.
 bool GetLengthPrefixed(const Bytes& src, size_t* pos, std::string* out);

@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compress/codec.h"
@@ -47,11 +49,15 @@ Status DecodeHeader(const Bytes& data, size_t* pos, Header* h) {
   if (!GetVarint64(data, pos, &n) || !GetVarint64(data, pos, &nulls)) {
     return Status::Corruption("block header truncated");
   }
+  if (nulls > n) {
+    return Status::Corruption("block header has more nulls than rows");
+  }
   h->n = n;
   h->null_count = nulls;
   if (nulls > 0) {
-    size_t bitmap_bytes = (n + 7) / 8;
-    if (*pos + bitmap_bytes > data.size()) {
+    // n / 8 rounded up without n + 7, which wraps for a corrupt n.
+    const size_t bitmap_bytes = n / 8 + (n % 8 != 0 ? 1 : 0);
+    if (bitmap_bytes > data.size() - *pos) {
       return Status::Corruption("null bitmap truncated");
     }
     h->bitmap.assign(data.begin() + *pos, data.begin() + *pos + bitmap_bytes);
@@ -95,14 +101,15 @@ ColumnVector AssembleDoubles(const Header& h, std::vector<double> lane) {
   });
 }
 
-ColumnVector AssembleStrings(const Header& h,
-                             std::vector<std::string> lane) {
-  if (h.null_count == 0) {
-    return ColumnVector::TakeStrings(std::move(lane));
+// Appends decoded VARCHAR value i straight into the lane, or NULL where
+// the header's bitmap says so (the NULL's placeholder is read and dropped).
+void AppendStringAt(ColumnVector* out, const Header& h, size_t i,
+                    std::string_view value) {
+  if (h.IsNull(i)) {
+    out->AppendNull();
+  } else {
+    out->AppendString(value);
   }
-  return Assemble(TypeId::kString, h, [&](ColumnVector* out, size_t i) {
-    out->AppendString(std::move(lane[i]));
-  });
 }
 
 inline uint64_t DoubleBits(double d) {
@@ -132,7 +139,9 @@ class RawCodec : public Codec {
         for (double d : values.doubles()) PutFixed64(out, DoubleBits(d));
         break;
       case TypeId::kString:
-        for (const auto& s : values.strings()) PutLengthPrefixed(out, s);
+        for (size_t i = 0; i < values.size(); ++i) {
+          PutLengthPrefixed(out, values.StringAt(i));
+        }
         break;
       default:
         for (int64_t v : values.ints()) {
@@ -148,15 +157,23 @@ class RawCodec : public Codec {
     Header h;
     SDW_RETURN_IF_ERROR(DecodeHeader(data, &pos, &h));
     if (type == TypeId::kString) {
-      std::vector<std::string> lane(h.n);
+      // Each value takes at least its one-byte length, and its bytes are
+      // at most what is left.
+      if (h.n > data.size() - pos) {
+        return Status::Corruption("raw string truncated");
+      }
+      ColumnVector out(type);
+      out.Reserve(h.n, data.size() - pos - h.n);
       for (size_t i = 0; i < h.n; ++i) {
-        if (!GetLengthPrefixed(data, &pos, &lane[i])) {
+        std::string_view value;
+        if (!GetLengthPrefixedView(data, &pos, &value)) {
           return Status::Corruption("raw string truncated");
         }
+        AppendStringAt(&out, h, i, value);
       }
-      return AssembleStrings(h, std::move(lane));
+      return out;
     }
-    if (pos + 8 * h.n > data.size()) {
+    if (h.n > (data.size() - pos) / 8) {
       return Status::Corruption("raw payload truncated");
     }
     if (type == TypeId::kDouble) {
@@ -203,24 +220,27 @@ class RunLengthCodec : public Codec {
     size_t pos = 0;
     Header h;
     SDW_RETURN_IF_ERROR(DecodeHeader(data, &pos, &h));
-    // Decode runs into full lanes first (runs may span null positions'
-    // placeholders), then assemble.
+    // Runs may span NULL positions, whose placeholders are dropped: a
+    // VARCHAR run goes straight into the lane value by value, other types
+    // fill a full lane first.
+    ColumnVector strings(type);
     std::vector<int64_t> int_lane;
     std::vector<double> dbl_lane;
-    std::vector<std::string> str_lane;
     size_t produced = 0;
     while (produced < h.n) {
       uint64_t run = 0;
       if (!GetVarint64(data, &pos, &run) || run == 0 ||
-          produced + run > h.n) {
+          run > h.n - produced) {
         return Status::Corruption("rle run truncated");
       }
       if (type == TypeId::kString) {
-        std::string s;
-        if (!GetLengthPrefixed(data, &pos, &s)) {
+        std::string_view value;
+        if (!GetLengthPrefixedView(data, &pos, &value)) {
           return Status::Corruption("rle string truncated");
         }
-        str_lane.insert(str_lane.end(), run, s);
+        for (size_t i = produced; i < produced + run; ++i) {
+          AppendStringAt(&strings, h, i, value);
+        }
       } else {
         uint64_t raw = 0;
         if (!GetVarint64(data, &pos, &raw)) {
@@ -234,9 +254,7 @@ class RunLengthCodec : public Codec {
       }
       produced += run;
     }
-    if (type == TypeId::kString) {
-      return AssembleStrings(h, std::move(str_lane));
-    }
+    if (type == TypeId::kString) return strings;
     if (type == TypeId::kDouble) {
       return AssembleDoubles(h, std::move(dbl_lane));
     }
@@ -249,7 +267,7 @@ class RunLengthCodec : public Codec {
       case TypeId::kDouble:
         return DoubleBits(v.doubles()[a]) == DoubleBits(v.doubles()[b]);
       case TypeId::kString:
-        return v.strings()[a] == v.strings()[b];
+        return v.StringAt(a) == v.StringAt(b);
       default:
         return v.ints()[a] == v.ints()[b];
     }
@@ -260,7 +278,7 @@ class RunLengthCodec : public Codec {
         PutVarint64(out, DoubleBits(v.doubles()[i]));
         break;
       case TypeId::kString:
-        PutLengthPrefixed(out, v.strings()[i]);
+        PutLengthPrefixed(out, v.StringAt(i));
         break;
       default:
         PutVarint64(out, ZigZagEncode(v.ints()[i]));
@@ -300,6 +318,10 @@ class DeltaCodec : public Codec {
     size_t pos = 0;
     Header h;
     SDW_RETURN_IF_ERROR(DecodeHeader(data, &pos, &h));
+    // Each value takes at least its one-byte varint.
+    if (h.n > data.size() - pos) {
+      return Status::Corruption("delta truncated");
+    }
     std::vector<int64_t> lane(h.n);
     int64_t prev = 0;
     for (size_t i = 0; i < h.n; ++i) {
@@ -331,19 +353,20 @@ class BytedictCodec : public Codec {
     EncodeHeader(values, out);
     const size_t n = values.size();
     // Build dictionary in first-appearance order, capped at 255 entries.
-    std::map<std::string, uint8_t> dict;
+    std::map<std::string, uint8_t, std::less<>> dict;
     std::vector<std::string> dict_order;
     std::vector<uint8_t> codes(n);
     std::vector<size_t> escapes;
+    char scratch[8];
     for (size_t i = 0; i < n; ++i) {
-      std::string key = KeyAt(values, i);
+      const std::string_view key = KeyAt(values, i, scratch);
       auto it = dict.find(key);
       if (it != dict.end()) {
         codes[i] = it->second;
       } else if (dict.size() < 255) {
         uint8_t code = static_cast<uint8_t>(dict.size());
-        dict[key] = code;
-        dict_order.push_back(key);
+        dict.emplace(key, code);
+        dict_order.emplace_back(key);
         codes[i] = code;
       } else {
         codes[i] = 0xFF;
@@ -351,19 +374,17 @@ class BytedictCodec : public Codec {
       }
     }
     PutVarint64(out, dict_order.size());
-    for (const auto& key : dict_order) {
-      PutVarint64(out, key.size());
-      out->insert(out->end(), key.begin(), key.end());
-    }
+    for (const auto& key : dict_order) PutLengthPrefixed(out, key);
     out->insert(out->end(), codes.begin(), codes.end());
     for (size_t idx : escapes) {
-      std::string key = KeyAt(values, idx);
-      PutVarint64(out, key.size());
-      out->insert(out->end(), key.begin(), key.end());
+      PutLengthPrefixed(out, KeyAt(values, idx, scratch));
     }
     return Status::OK();
   }
 
+  // The dictionary and escapes are read as views into `data`: a VARCHAR
+  // value is copied once, into the output lane, and a numeric one is read
+  // as its 8 raw bytes.
   Result<ColumnVector> Decode(const Bytes& data, TypeId type) const override {
     size_t pos = 0;
     Header h;
@@ -372,74 +393,77 @@ class BytedictCodec : public Codec {
     if (!GetVarint64(data, &pos, &dict_size) || dict_size > 255) {
       return Status::Corruption("bytedict: bad dictionary size");
     }
-    std::vector<std::string> dict(dict_size);
-    for (auto& entry : dict) {
-      if (!ReadKey(data, &pos, &entry)) {
+    std::string_view dict[255];
+    for (uint64_t d = 0; d < dict_size; ++d) {
+      if (!ReadKey(data, &pos, type, &dict[d])) {
         return Status::Corruption("bytedict: dictionary truncated");
       }
     }
-    if (pos + h.n > data.size()) {
+    if (h.n > data.size() - pos) {
       return Status::Corruption("bytedict: codes truncated");
     }
     const uint8_t* codes = data.data() + pos;
     pos += h.n;
-    std::vector<std::string> lane(h.n);
+    // Check every code and read the escapes, which follow the codes in
+    // row order, before writing a value.
+    std::vector<std::string_view> escapes;
+    size_t string_bytes = 0;
     for (size_t i = 0; i < h.n; ++i) {
       if (codes[i] == 0xFF) {
-        if (!ReadKey(data, &pos, &lane[i])) {
+        escapes.emplace_back();
+        if (!ReadKey(data, &pos, type, &escapes.back())) {
           return Status::Corruption("bytedict: escape truncated");
         }
+        string_bytes += escapes.back().size();
+      } else if (codes[i] >= dict_size) {
+        return Status::Corruption("bytedict: code out of range");
       } else {
-        if (codes[i] >= dict.size()) {
-          return Status::Corruption("bytedict: code out of range");
-        }
-        lane[i] = dict[codes[i]];
+        string_bytes += dict[codes[i]].size();
       }
     }
-    return Assemble(type, h, [&](ColumnVector* out, size_t i) {
-      AppendKey(out, type, lane[i]);
-    });
+    size_t next_escape = 0;
+    auto value_at = [&](size_t i) {
+      return codes[i] == 0xFF ? escapes[next_escape++] : dict[codes[i]];
+    };
+    if (type == TypeId::kString) {
+      ColumnVector out(type);
+      out.AppendStrings(
+          h.n, string_bytes, [&h](size_t i) { return h.IsNull(i); }, value_at);
+      return out;
+    }
+    std::vector<int64_t> lane(h.n);
+    for (size_t i = 0; i < h.n; ++i) {
+      std::memcpy(&lane[i], value_at(i).data(), 8);
+    }
+    if (type != TypeId::kDouble) return AssembleInts(type, h, std::move(lane));
+    std::vector<double> doubles(h.n);
+    for (size_t i = 0; i < h.n; ++i) {
+      doubles[i] = BitsDouble(static_cast<uint64_t>(lane[i]));
+    }
+    return AssembleDoubles(h, std::move(doubles));
   }
 
  private:
-  // Values are keyed by their wire form: 8 raw bytes for numerics, the
-  // string itself for VARCHAR.
-  static std::string KeyAt(const ColumnVector& v, size_t i) {
+  // Values are keyed by their wire form: 8 raw bytes for numerics (kept
+  // in `scratch`), the string itself for VARCHAR.
+  static std::string_view KeyAt(const ColumnVector& v, size_t i,
+                                char (&scratch)[8]) {
     switch (v.type()) {
       case TypeId::kString:
-        return v.strings()[i];
-      case TypeId::kDouble: {
-        uint64_t bits = DoubleBits(v.doubles()[i]);
-        return std::string(reinterpret_cast<const char*>(&bits), 8);
-      }
-      default: {
-        int64_t x = v.ints()[i];
-        return std::string(reinterpret_cast<const char*>(&x), 8);
-      }
+        return v.StringAt(i);
+      case TypeId::kDouble:
+        std::memcpy(scratch, &v.doubles()[i], 8);
+        return {scratch, 8};
+      default:
+        std::memcpy(scratch, &v.ints()[i], 8);
+        return {scratch, 8};
     }
   }
-  static bool ReadKey(const Bytes& data, size_t* pos, std::string* out) {
-    uint64_t len = 0;
-    if (!GetVarint64(data, pos, &len) || *pos + len > data.size()) {
-      return false;
-    }
-    out->assign(reinterpret_cast<const char*>(data.data()) + *pos, len);
-    *pos += len;
-    return true;
-  }
-  static void AppendKey(ColumnVector* out, TypeId type,
-                        const std::string& key) {
-    if (type == TypeId::kString) {
-      out->AppendString(key);
-    } else if (type == TypeId::kDouble) {
-      uint64_t bits;
-      __builtin_memcpy(&bits, key.data(), 8);
-      out->AppendDouble(BitsDouble(bits));
-    } else {
-      int64_t v;
-      __builtin_memcpy(&v, key.data(), 8);
-      out->AppendInt(v);
-    }
+  // Reads one length-prefixed key; a numeric key must be 8 bytes.
+  static bool ReadKey(const Bytes& data, size_t* pos, TypeId type,
+                      std::string_view* out) {
+    return GetLengthPrefixedView(data, pos, out) &&
+           (type == TypeId::kString || out->size() == 8);
   }
 };
 
@@ -492,7 +516,7 @@ class MostlyCodec : public Codec {
     size_t pos = 0;
     Header h;
     SDW_RETURN_IF_ERROR(DecodeHeader(data, &pos, &h));
-    if (pos + h.n * kWidthBytes > data.size()) {
+    if (h.n > (data.size() - pos) / kWidthBytes) {
       return Status::Corruption("mostlyN narrow lane truncated");
     }
     std::vector<int64_t> lane(h.n);
@@ -574,29 +598,37 @@ class Text255Codec : public Codec {
   ColumnEncoding encoding() const override { return ColumnEncoding::kText255; }
   bool Supports(TypeId type) const override { return type == TypeId::kString; }
 
+  // A value is split at every space, so "a  b " is the four words "a",
+  // "", "b" and "", and the empty string is zero words.
   Status Encode(const ColumnVector& values, Bytes* out) const override {
     if (values.type() != TypeId::kString) {
       return Status::NotSupported("text255 requires a VARCHAR column");
     }
     EncodeHeader(values, out);
-    std::map<std::string, uint8_t> dict;
+    std::map<std::string, uint8_t, std::less<>> dict;
     std::vector<std::string> dict_order;
     Bytes body;
-    for (const auto& s : values.strings()) {
-      std::vector<std::string> words = SplitWords(s);
-      PutVarint64(&body, words.size());
-      for (const auto& w : words) {
-        auto it = dict.find(w);
+    for (size_t i = 0; i < values.size(); ++i) {
+      const std::string_view s = values.StringAt(i);
+      const size_t words =
+          s.empty() ? 0 : std::count(s.begin(), s.end(), ' ') + 1;
+      PutVarint64(&body, words);
+      size_t start = 0;
+      for (size_t w = 0; w < words; ++w) {
+        const size_t space = std::min(s.find(' ', start), s.size());
+        const std::string_view word = s.substr(start, space - start);
+        start = space + 1;
+        auto it = dict.find(word);
         if (it != dict.end()) {
           body.push_back(it->second);
         } else if (dict.size() < 255) {
           uint8_t code = static_cast<uint8_t>(dict.size());
-          dict[w] = code;
-          dict_order.push_back(w);
+          dict.emplace(word, code);
+          dict_order.emplace_back(word);
           body.push_back(code);
         } else {
           body.push_back(0xFF);
-          PutLengthPrefixed(&body, w);
+          PutLengthPrefixed(&body, word);
         }
       }
     }
@@ -606,6 +638,8 @@ class Text255Codec : public Codec {
     return Status::OK();
   }
 
+  // Words are read as views into `data` and joined in one buffer reused
+  // for every value, which is then copied into the lane.
   Result<ColumnVector> Decode(const Bytes& data, TypeId type) const override {
     size_t pos = 0;
     Header h;
@@ -614,61 +648,46 @@ class Text255Codec : public Codec {
     if (!GetVarint64(data, &pos, &dict_size) || dict_size > 255) {
       return Status::Corruption("text255: bad dictionary size");
     }
-    std::vector<std::string> dict(dict_size);
-    for (auto& w : dict) {
-      if (!GetLengthPrefixed(data, &pos, &w)) {
+    std::string_view dict[255];
+    for (uint64_t d = 0; d < dict_size; ++d) {
+      if (!GetLengthPrefixedView(data, &pos, &dict[d])) {
         return Status::Corruption("text255: dictionary truncated");
       }
     }
-    std::vector<std::string> lane(h.n);
+    // Each value takes at least its one-byte word count.
+    if (h.n > data.size() - pos) {
+      return Status::Corruption("text255: word count truncated");
+    }
+    ColumnVector out(type);
+    out.Reserve(h.n);
+    std::string value;
     for (size_t i = 0; i < h.n; ++i) {
       uint64_t word_count = 0;
       if (!GetVarint64(data, &pos, &word_count)) {
         return Status::Corruption("text255: word count truncated");
       }
-      std::string s;
+      value.clear();
       for (uint64_t w = 0; w < word_count; ++w) {
         if (pos >= data.size()) {
           return Status::Corruption("text255: codes truncated");
         }
         uint8_t code = data[pos++];
-        if (w > 0) s += ' ';
+        if (w > 0) value += ' ';
+        std::string_view word;
         if (code == 0xFF) {
-          std::string literal;
-          if (!GetLengthPrefixed(data, &pos, &literal)) {
+          if (!GetLengthPrefixedView(data, &pos, &word)) {
             return Status::Corruption("text255: escape truncated");
           }
-          s += literal;
+        } else if (code >= dict_size) {
+          return Status::Corruption("text255: code out of range");
         } else {
-          if (code >= dict.size()) {
-            return Status::Corruption("text255: code out of range");
-          }
-          s += dict[code];
+          word = dict[code];
         }
+        value += word;
       }
-      lane[i] = std::move(s);
+      AppendStringAt(&out, h, i, value);
     }
-    return Assemble(type, h, [&](ColumnVector* out, size_t i) {
-      out->AppendString(std::move(lane[i]));
-    });
-  }
-
- private:
-  static std::vector<std::string> SplitWords(const std::string& s) {
-    std::vector<std::string> words;
-    size_t start = 0;
-    while (start <= s.size()) {
-      size_t space = s.find(' ', start);
-      if (space == std::string::npos) {
-        words.push_back(s.substr(start));
-        break;
-      }
-      words.push_back(s.substr(start, space - start));
-      start = space + 1;
-    }
-    // A single empty word means the empty string: encode as zero words.
-    if (words.size() == 1 && words[0].empty()) words.clear();
-    return words;
+    return out;
   }
 };
 

@@ -1,5 +1,6 @@
 #include "compress/lz77.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -80,13 +81,16 @@ Result<Bytes> Lz77Decompress(const Bytes& input) {
     return Status::Corruption("lz77: truncated header");
   }
   Bytes out;
-  out.reserve(expected);
+  // A damaged header may claim any size: reserve no more than a large
+  // block needs, and let the checks below stop the stream.
+  out.reserve(std::min<uint64_t>(expected, uint64_t{1} << 24));
   while (out.size() < expected) {
     uint64_t lit_len = 0;
     if (!GetVarint64(input, &pos, &lit_len)) {
       return Status::Corruption("lz77: truncated literal length");
     }
-    if (pos + lit_len > input.size() || out.size() + lit_len > expected) {
+    // GetVarint64 leaves pos <= input.size(), so no subtraction wraps.
+    if (lit_len > input.size() - pos || lit_len > expected - out.size()) {
       return Status::Corruption("lz77: literal overrun");
     }
     out.insert(out.end(), input.begin() + pos, input.begin() + pos + lit_len);
@@ -99,7 +103,7 @@ Result<Bytes> Lz77Decompress(const Bytes& input) {
       return Status::Corruption("lz77: truncated match");
     }
     if (match_len == 0) continue;
-    if (dist == 0 || dist > out.size() || out.size() + match_len > expected) {
+    if (dist == 0 || dist > out.size() || match_len > expected - out.size()) {
       return Status::Corruption("lz77: bad match");
     }
     size_t src = out.size() - dist;

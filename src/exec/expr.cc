@@ -49,31 +49,36 @@ bool ApplyCmp(CmpOp op, int cmp) {
 // same answers EvalRow gives through Datum.
 // ---------------------------------------------------------------------------
 
-/// Three-way order of two non-NULL values, as Datum::Compare orders them.
-int Order(int64_t a, int64_t b) { return (a > b) - (a < b); }
-int Order(double a, double b) { return CompareDoubles(a, b); }
-int Order(std::string_view a, std::string_view b) { return a.compare(b); }
+/// a < b and a == b for two non-NULL values, in Datum::Compare's order.
+/// Each operator is built from these two, so a loop's body is one
+/// comparison, with no three-way order for the compiler to fold away.
+bool Less(int64_t a, int64_t b) { return a < b; }
+bool Less(double a, double b) { return CompareDoubles(a, b) < 0; }
+bool Less(std::string_view a, std::string_view b) { return a < b; }
+bool Equal(int64_t a, int64_t b) { return a == b; }
+bool Equal(double a, double b) { return CompareDoubles(a, b) == 0; }
+bool Equal(std::string_view a, std::string_view b) { return a == b; }
 
 /// out[i] = (left(i) op right(i)) ? 1 : 0 for i in [0, n), with one loop
 /// per operator so nothing is dispatched per row.
 template <typename L, typename R>
 void CompareLanes(CmpOp op, size_t n, L left, R right, int64_t* out) {
   auto loop = [&](auto keep) {
-    for (size_t i = 0; i < n; ++i) out[i] = keep(Order(left(i), right(i)));
+    for (size_t i = 0; i < n; ++i) out[i] = keep(left(i), right(i));
   };
   switch (op) {
     case CmpOp::kEq:
-      return loop([](int c) { return c == 0; });
+      return loop([](auto a, auto b) { return Equal(a, b); });
     case CmpOp::kNe:
-      return loop([](int c) { return c != 0; });
+      return loop([](auto a, auto b) { return !Equal(a, b); });
     case CmpOp::kLt:
-      return loop([](int c) { return c < 0; });
+      return loop([](auto a, auto b) { return Less(a, b); });
     case CmpOp::kLe:
-      return loop([](int c) { return c <= 0; });
+      return loop([](auto a, auto b) { return !Less(b, a); });
     case CmpOp::kGt:
-      return loop([](int c) { return c > 0; });
+      return loop([](auto a, auto b) { return Less(b, a); });
     case CmpOp::kGe:
-      return loop([](int c) { return c >= 0; });
+      return loop([](auto a, auto b) { return !Less(a, b); });
   }
 }
 
@@ -230,12 +235,14 @@ class CmpExpr : public Expr {
     }
     int64_t* out = values.data();
     if (lt == TypeId::kString) {
-      const std::string* lv = l->strings().data();
-      CompareTo<std::string_view>(
-          op_, n, [lv](size_t i) { return std::string_view(lv[i]); },
-          r != nullptr ? r->strings().data() : nullptr,
-          r != nullptr ? std::string_view() : lit->value().string_value(),
-          out);
+      auto left = [l](size_t i) { return l->StringAt(i); };
+      if (r != nullptr) {
+        CompareLanes(op_, n, left, [r](size_t i) { return r->StringAt(i); },
+                     out);
+      } else {
+        const std::string_view value = lit->value().string_value();
+        CompareLanes(op_, n, left, [value](size_t) { return value; }, out);
+      }
     } else if (lt == TypeId::kDouble || rt == TypeId::kDouble) {
       std::vector<double> lwide;
       std::vector<double> rwide;

@@ -47,10 +47,8 @@ void ForEachHash(const ColumnVector& col, Fold fold) {
       break;
     }
     case TypeId::kString: {
-      const std::string* v = col.strings().data();
       for (size_t i = 0; i < n; ++i) {
-        fold(i, is_null(i) ? Datum::kNullHash
-                           : Hash64(std::string_view(v[i])));
+        fold(i, is_null(i) ? Datum::kNullHash : Hash64(col.StringAt(i)));
       }
       break;
     }
@@ -151,8 +149,7 @@ uint32_t KeyTable::Add(const Columns& cols, size_t row, uint64_t hash,
     lane.nulls.push_back(null ? 1 : 0);
     uint64_t word = 0;
     if (lane.kind == Kind::kString) {
-      const std::string_view s =
-          null ? std::string_view() : std::string_view(col.StringAt(row));
+      const std::string_view s = null ? std::string_view() : col.StringAt(row);
       word = arena_.size();
       lane.sizes.push_back(static_cast<uint32_t>(s.size()));
       arena_.append(s);
@@ -203,11 +200,11 @@ void KeyTable::WithEqual(const Columns& cols, Fn fn) const {
              (null || lane.words[id] == static_cast<uint64_t>(v[row]));
     });
   } else if (lanes_.size() == 1 && lane.kind == Kind::kString) {
-    const std::string* v = cols[0]->strings().data();
+    const ColumnVector* v = cols[0];
     fn([this, &lane, v, nulls](size_t row, uint32_t id) {
       const bool null = nulls != nullptr && nulls[row] != 0;
       return lane.nulls[id] == (null ? 1 : 0) &&
-             (null || StringAt(lane, id) == v[row]);
+             (null || StringAt(lane, id) == v->StringAt(row));
     });
   } else {
     fn([this, &cols](size_t row, uint32_t id) {
@@ -286,7 +283,7 @@ void KeyTable::AppendKeys(size_t k, ColumnVector* out) const {
         break;
       }
       case Kind::kString:
-        out->AppendString(std::string(StringAt(lane, id)));
+        out->AppendString(StringAt(lane, id));
         break;
     }
   }
@@ -298,14 +295,16 @@ void KeyTable::AppendKeys(size_t k, ColumnVector* out) const {
 
 namespace {
 
+/// Reads value i of a lane holding T: an int64 or a double, or a view
+/// of a VARCHAR value for T = std::string.
 template <typename T>
-const T* LaneOf(const ColumnVector& col) {
+auto ValuesOf(const ColumnVector& col) {
   if constexpr (std::is_same_v<T, int64_t>) {
-    return col.ints().data();
+    return [v = col.ints().data()](size_t i) { return v[i]; };
   } else if constexpr (std::is_same_v<T, double>) {
-    return col.doubles().data();
+    return [v = col.doubles().data()](size_t i) { return v[i]; };
   } else {
-    return col.strings().data();
+    return [&col](size_t i) { return col.StringAt(i); };
   }
 }
 
@@ -365,19 +364,20 @@ struct SumFold {
 };
 
 /// MIN (kMax false) or MAX; on ties the first value seen stays.
-/// Doubles order by CompareDoubles, so NaN is the largest value.
+/// Doubles order by CompareDoubles, so NaN is the largest value. A
+/// VARCHAR state owns its bytes and is compared with a view of the input.
 template <bool kMax>
 struct ExtremeFold {
-  template <typename T>
-  static bool Less(const T& a, const T& b) {
-    if constexpr (std::is_same_v<T, double>) {
+  template <typename A, typename B>
+  static bool Less(const A& a, const B& b) {
+    if constexpr (std::is_same_v<A, double>) {
       return CompareDoubles(a, b) < 0;
     } else {
       return a < b;
     }
   }
-  template <typename T>
-  static bool Apply(bool has, const T& v, T* acc) {
+  template <typename V, typename T>
+  static bool Apply(bool has, const V& v, T* acc) {
     if (!has || (kMax ? Less(*acc, v) : Less(v, *acc))) *acc = v;
     return true;
   }
@@ -420,12 +420,12 @@ class FoldStates final : public AggStates {
   /// Folds input rows [0, n) into groups group_of(i).
   template <typename GroupOf>
   Status FoldRows(const ColumnVector& input, size_t n, GroupOf group_of) {
-    const T* v = LaneOf<T>(input);
+    const auto value = ValuesOf<T>(input);
     const uint8_t* nulls = NullsOf(input);
     for (size_t i = 0; i < n; ++i) {
       if (nulls != nullptr && nulls[i] != 0) continue;
       const uint32_t g = group_of(i);
-      if (!Fold::Apply(has_[g] != 0, v[i], &values_[g])) {
+      if (!Fold::Apply(has_[g] != 0, value(i), &values_[g])) {
         return Status::OutOfRange("integer SUM overflows BIGINT");
       }
       has_[g] = 1;

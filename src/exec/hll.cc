@@ -69,7 +69,7 @@ std::string HyperLogLog::Serialize() const {
   return out;
 }
 
-Result<HyperLogLog> HyperLogLog::Deserialize(const std::string& data) {
+Result<HyperLogLog> HyperLogLog::Deserialize(std::string_view data) {
   if (data.empty()) return Status::Corruption("empty HLL sketch");
   const int precision = static_cast<uint8_t>(data[0]);
   if (precision < 4 || precision > 16 ||

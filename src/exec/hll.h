@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -36,7 +37,7 @@ class HyperLogLog {
 
   /// Compact wire form (precision byte + registers).
   std::string Serialize() const;
-  static Result<HyperLogLog> Deserialize(const std::string& data);
+  static Result<HyperLogLog> Deserialize(std::string_view data);
 
  private:
   int precision_;

@@ -505,8 +505,7 @@ class SortOp : public Operator {
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       for (const SortKey& key : keys_) {
-        const ColumnVector& col = all.columns[key.column];
-        int cmp = col.DatumAt(a).Compare(col.DatumAt(b));
+        int cmp = all.columns[key.column].Compare(a, b);
         if (cmp != 0) return key.descending ? cmp > 0 : cmp < 0;
       }
       return false;

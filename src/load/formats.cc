@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <string_view>
 
 namespace sdw::load {
 
@@ -10,9 +11,10 @@ namespace {
 
 /// Parses one CSV field into `column`. A number must be the whole field
 /// and fit its type: "12x", " 12", "2.5abc" and "99999999999999999999"
-/// are errors, never a silently truncated value.
-Status AppendField(ColumnVector* column, TypeId type,
-                   const std::string& field, bool was_quoted) {
+/// are errors, never a silently truncated value. `field` views the CSV
+/// text, so the character after it ends any number strtod/strtoll read.
+Status AppendField(ColumnVector* column, TypeId type, std::string_view field,
+                   bool was_quoted) {
   if (!was_quoted && (field.empty() || field == "\\N")) {
     column->AppendNull();
     return Status::OK();
@@ -20,6 +22,7 @@ Status AppendField(ColumnVector* column, TypeId type,
   // strtod and strtoll skip leading white space; a number may not.
   const bool padded =
       !field.empty() && std::isspace(static_cast<unsigned char>(field[0]));
+  const char* const field_end = field.data() + field.size();
   switch (type) {
     case TypeId::kString:
       column->AppendString(field);
@@ -27,12 +30,14 @@ Status AppendField(ColumnVector* column, TypeId type,
     case TypeId::kDouble: {
       char* end = nullptr;
       errno = 0;
-      double v = std::strtod(field.c_str(), &end);
-      if (padded || end == field.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad double '" + field + "'");
+      double v = std::strtod(field.data(), &end);
+      if (padded || end == field.data() || end != field_end) {
+        return Status::InvalidArgument("bad double '" + std::string(field) +
+                                       "'");
       }
       if (errno == ERANGE) {
-        return Status::InvalidArgument("double out of range '" + field + "'");
+        return Status::InvalidArgument("double out of range '" +
+                                       std::string(field) + "'");
       }
       column->AppendDouble(v);
       return Status::OK();
@@ -43,20 +48,22 @@ Status AppendField(ColumnVector* column, TypeId type,
       } else if (field == "false" || field == "f" || field == "0") {
         column->AppendInt(0);
       } else {
-        return Status::InvalidArgument("bad boolean '" + field + "'");
+        return Status::InvalidArgument("bad boolean '" + std::string(field) +
+                                       "'");
       }
       return Status::OK();
     default: {
       char* end = nullptr;
       errno = 0;
-      long long v = std::strtoll(field.c_str(), &end, 10);
-      if (padded || end == field.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad integer '" + field + "'");
+      long long v = std::strtoll(field.data(), &end, 10);
+      if (padded || end == field.data() || end != field_end) {
+        return Status::InvalidArgument("bad integer '" + std::string(field) +
+                                       "'");
       }
       const bool narrow = type == TypeId::kInt32 || type == TypeId::kDate;
       if (errno == ERANGE || (narrow && v != static_cast<int32_t>(v))) {
-        return Status::InvalidArgument("integer out of range '" + field +
-                                       "'");
+        return Status::InvalidArgument("integer out of range '" +
+                                       std::string(field) + "'");
       }
       column->AppendInt(v);
       return Status::OK();
@@ -75,6 +82,7 @@ Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
   size_t i = 0;
   const size_t n = text.size();
   size_t line = 1;
+  std::string unquoted;
   // A line ends at "\n" or "\r\n": a CRLF file loads like its LF twin,
   // with no '\r' left in the last field.
   auto at_line_end = [&](size_t at) {
@@ -96,27 +104,33 @@ Result<std::vector<ColumnVector>> ParseCsv(const std::string& text,
         return Status::InvalidArgument("too many fields at line " +
                                        std::to_string(line));
       }
-      std::string field;
+      // A field is a view of the text; only a quoted field holding a
+      // doubled quote is rewritten, into `unquoted`.
+      std::string_view field;
       bool quoted = false;
-      if (i < n && text[i] == '"') {
+      const size_t start = i + (i < n && text[i] == '"' ? 1 : 0);
+      if (start > i) {
         quoted = true;
-        ++i;
-        while (i < n) {
-          if (text[i] == '"') {
-            if (i + 1 < n && text[i + 1] == '"') {
-              field.push_back('"');
-              i += 2;
-              continue;
-            }
-            ++i;
-            break;
+        bool doubled = false;
+        for (i = start; i < n; ++i) {
+          if (text[i] != '"') continue;
+          if (i + 1 >= n || text[i + 1] != '"') break;
+          doubled = true;
+          ++i;
+        }
+        field = std::string_view(text).substr(start, i - start);
+        if (i < n) ++i;  // the closing quote
+        if (doubled) {
+          unquoted.clear();
+          for (size_t j = 0; j < field.size(); ++j) {
+            unquoted.push_back(field[j]);
+            if (field[j] == '"') ++j;
           }
-          field.push_back(text[i++]);
+          field = unquoted;
         }
       } else {
-        while (i < n && text[i] != ',' && !at_line_end(i)) {
-          field.push_back(text[i++]);
-        }
+        while (i < n && text[i] != ',' && !at_line_end(i)) ++i;
+        field = std::string_view(text).substr(start, i - start);
       }
       const ColumnDef& def = schema.column(field_index);
       Status parsed =
@@ -161,8 +175,8 @@ std::string FormatCsv(const std::vector<ColumnVector>& columns) {
       }
       switch (col.type()) {
         case TypeId::kString: {
-          const std::string& s = col.StringAt(r);
-          if (s.empty() || s.find_first_of(",\"\n") != std::string::npos) {
+          const std::string_view s = col.StringAt(r);
+          if (s.empty() || s.find_first_of(",\"\n") != s.npos) {
             out.push_back('"');
             for (char ch : s) {
               if (ch == '"') out.push_back('"');

@@ -29,9 +29,23 @@ class ZoneMap {
     if (max_ < value) max_ = value;
   }
 
-  /// Folds a whole column vector.
+  /// Folds a whole column vector: its extremes are found on the lanes,
+  /// and only they become Datums.
   void UpdateAll(const ColumnVector& values) {
-    for (size_t i = 0; i < values.size(); ++i) Update(values.DatumAt(i));
+    const size_t none = values.size();
+    size_t lo = none;
+    size_t hi = none;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (values.IsNull(i)) {
+        has_nulls_ = true;
+        continue;
+      }
+      if (lo == none || values.Compare(i, lo) < 0) lo = i;
+      if (hi == none || values.Compare(hi, i) < 0) hi = i;
+    }
+    if (lo == none) return;
+    Update(values.DatumAt(lo));
+    Update(values.DatumAt(hi));
   }
 
   /// True if some row in this block may satisfy lo <= value <= hi.

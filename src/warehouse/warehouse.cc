@@ -1054,7 +1054,14 @@ Result<cluster::Cluster::ResizeStats> Warehouse::Resize(int new_num_nodes) {
   record.resize_nodes = new_num_nodes;
   Install install;
   install.cluster = std::move(target);
-  SDW_RETURN_IF_ERROR(CommitWrite(std::move(record), std::move(install)));
+  Status committed = CommitWrite(std::move(record), std::move(install));
+  if (!committed.ok()) {
+    // An ordinary failure (say, the log append) swapped nothing: the
+    // source stays live and takes writes again. A crash leaves it to
+    // Recover(), as every crash does.
+    if (!crash_.crashed()) cluster_->set_read_only(false);
+    return committed;
+  }
   SyncHostManagers();
   return stats;
 }

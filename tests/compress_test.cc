@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -288,6 +290,222 @@ TEST(CodecTest, DecodeDetectsTruncation) {
     Bytes truncated(out.begin(), out.begin() + out.size() / 2);
     auto decoded = DecodeColumn(e, TypeId::kInt64, truncated);
     EXPECT_FALSE(decoded.ok()) << ColumnEncodingName(e);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// VARCHAR decoders: truncation, bit flips and the wire format.
+// ---------------------------------------------------------------------------
+
+const ColumnEncoding kVarcharCodecs[] = {
+    ColumnEncoding::kRaw, ColumnEncoding::kRunLength, ColumnEncoding::kBytedict,
+    ColumnEncoding::kText255, ColumnEncoding::kLz};
+
+const Shape kVarcharShapes[] = {Shape::kLowCardStrings, Shape::kRandomStrings,
+                                Shape::kWordyText,      Shape::kConstant,
+                                Shape::kWithNulls,      Shape::kEmptyStrings};
+
+TEST(CodecTest, VarcharDecodeDetectsTruncation) {
+  for (ColumnEncoding e : kVarcharCodecs) {
+    for (Shape shape : kVarcharShapes) {
+      ColumnVector v = Generate(shape, TypeId::kString, 100, 5);
+      Bytes out;
+      ASSERT_TRUE(EncodeColumn(e, v, &out).ok());
+      // Every proper prefix of the block fails to decode, except that an
+      // LZ stream may lose its redundant end marker and still decode to
+      // every value.
+      for (size_t len = 0; len < out.size(); ++len) {
+        Bytes truncated(out.begin(), out.begin() + len);
+        auto decoded = DecodeColumn(e, TypeId::kString, truncated);
+        if (!decoded.ok()) continue;
+        EXPECT_EQ(e, ColumnEncoding::kLz)
+            << ColumnEncodingName(e) << " shape " << static_cast<int>(shape)
+            << " prefix " << len;
+        ExpectEqualVectors(v, *decoded);
+      }
+      Bytes half(out.begin(), out.begin() + out.size() / 2);
+      EXPECT_FALSE(DecodeColumn(e, TypeId::kString, half).ok())
+          << ColumnEncodingName(e) << " shape " << static_cast<int>(shape);
+    }
+  }
+}
+
+/// The row count a block's header claims (for LZ, the header of the
+/// decompressed RAW form).
+size_t HeaderRows(ColumnEncoding e, const Bytes& block) {
+  Bytes raw = block;
+  if (e == ColumnEncoding::kLz) raw = *Lz77Decompress(block);
+  size_t pos = 0;
+  uint64_t n = 0;
+  EXPECT_TRUE(GetVarint64(raw, &pos, &n));
+  return n;
+}
+
+/// A decoded VARCHAR vector is whole: one offset per value plus one,
+/// non-decreasing from 0 to the arena's size, so every view lies inside
+/// the arena; a NULL is zero bytes long.
+void ExpectWholeLane(const ColumnVector& v, const std::string& context) {
+  ASSERT_EQ(v.type(), TypeId::kString) << context;
+  ASSERT_EQ(v.offsets().size(), v.size() + 1) << context;
+  ASSERT_EQ(v.offsets().front(), 0u) << context;
+  ASSERT_EQ(v.offsets().back(), v.arena().size()) << context;
+  const char* begin = v.arena().data();
+  const char* end = begin + v.arena().size();
+  size_t nulls = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    ASSERT_LE(v.offsets()[i], v.offsets()[i + 1]) << context << " row " << i;
+    const std::string_view s = v.StringAt(i);
+    ASSERT_TRUE(s.empty() || (s.data() >= begin && s.data() + s.size() <= end))
+        << context << " row " << i;
+    if (v.IsNull(i)) {
+      ++nulls;
+      EXPECT_TRUE(s.empty()) << context << " row " << i;
+    }
+  }
+  EXPECT_EQ(nulls, v.null_count()) << context;
+}
+
+// A seeded sweep of damaged blocks, one per (codec, VARCHAR shape): each
+// flipped block must decode to a Status or to a whole vector of the row
+// count its header claims. Run under ASan and UBSan, it also shows that
+// no decoder reads or writes outside its buffers.
+TEST(CodecTest, VarcharDecodeSurvivesBitFlips) {
+  for (ColumnEncoding e : kVarcharCodecs) {
+    for (Shape shape : kVarcharShapes) {
+      ColumnVector v = Generate(shape, TypeId::kString, 200, 11);
+      Bytes block;
+      ASSERT_TRUE(EncodeColumn(e, v, &block).ok());
+      auto clean = DecodeColumn(e, TypeId::kString, block);
+      ASSERT_TRUE(clean.ok()) << clean.status();
+      ExpectWholeLane(*clean, ColumnEncodingName(e));
+      Rng rng(static_cast<uint64_t>(e) * 131 + static_cast<uint64_t>(shape));
+      for (int trial = 0; trial < 300; ++trial) {
+        Bytes flipped = block;
+        const int flips = 1 + static_cast<int>(rng.Uniform(2));
+        for (int f = 0; f < flips; ++f) {
+          flipped[rng.Uniform(flipped.size())] ^=
+              static_cast<uint8_t>(1u << rng.Uniform(8));
+        }
+        auto decoded = DecodeColumn(e, TypeId::kString, flipped);
+        if (!decoded.ok()) continue;
+        const std::string context = std::string(ColumnEncodingName(e)) +
+                                    " shape " +
+                                    std::to_string(static_cast<int>(shape)) +
+                                    " trial " + std::to_string(trial);
+        EXPECT_EQ(decoded->size(), HeaderRows(e, flipped)) << context;
+        ExpectWholeLane(*decoded, context);
+      }
+    }
+  }
+}
+
+// Headers whose row count no block can hold: near 2^64, where rounding
+// the null bitmap's size up wraps to zero, or with more nulls than rows.
+// Each is Corruption before any lane or bitmap is sized, for every codec.
+TEST(CodecTest, ImpossibleHeaderIsCorruption) {
+  const std::pair<uint64_t, uint64_t> headers[] = {
+      {UINT64_MAX, 1}, {UINT64_MAX - 6, 1}, {UINT64_MAX, 0}, {3, 4}};
+  const std::pair<ColumnEncoding, TypeId> codecs[] = {
+      {ColumnEncoding::kRaw, TypeId::kString},
+      {ColumnEncoding::kRunLength, TypeId::kString},
+      {ColumnEncoding::kBytedict, TypeId::kString},
+      {ColumnEncoding::kText255, TypeId::kString},
+      {ColumnEncoding::kLz, TypeId::kString},
+      {ColumnEncoding::kRaw, TypeId::kInt64},
+      {ColumnEncoding::kRunLength, TypeId::kInt64},
+      {ColumnEncoding::kDelta, TypeId::kInt64},
+      {ColumnEncoding::kBytedict, TypeId::kInt64},
+      {ColumnEncoding::kMostly8, TypeId::kInt64},
+      {ColumnEncoding::kMostly16, TypeId::kInt64},
+      {ColumnEncoding::kMostly32, TypeId::kInt64},
+  };
+  for (const auto& [n, nulls] : headers) {
+    Bytes raw;
+    PutVarint64(&raw, n);
+    PutVarint64(&raw, nulls);
+    // A run of one "a" (RUNLENGTH) or a one-word dictionary, then zeros.
+    raw.insert(raw.end(), {1, 1, 'a'});
+    raw.insert(raw.end(), 13, 0);
+    Bytes lz;
+    Lz77Compress(raw, &lz);
+    for (const auto& [e, type] : codecs) {
+      auto decoded =
+          DecodeColumn(e, type, e == ColumnEncoding::kLz ? lz : raw);
+      ASSERT_FALSE(decoded.ok()) << ColumnEncodingName(e) << " n " << n;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << ColumnEncodingName(e) << " n " << n << " nulls " << nulls << ": "
+          << decoded.status();
+    }
+  }
+}
+
+std::string Hex(const Bytes& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// The encoded bytes of fixed vectors, captured before VARCHAR lanes
+// became offsets plus an arena: only decoding changed, so blocks in
+// existing backups stay readable and stored sizes stay the same.
+TEST(CodecTest, WireFormatIsUnchanged) {
+  ColumnVector v(TypeId::kString);
+  v.AppendString("");
+  v.AppendString("ab");
+  v.AppendString("ab");
+  v.AppendNull();
+  v.AppendString("abcdefghijklmnop");
+  v.AppendString("the  quick fox ");
+  v.AppendString(std::string("\x80\xff", 2));
+  v.AppendString("ab");
+  const std::pair<ColumnEncoding, const char*> golden[] = {
+      {ColumnEncoding::kRaw,
+       "0801080002616202616200106162636465666768696a6b6c6d6e6f700f7468652020"
+       "717569636b20666f78200280ff026162"},
+      {ColumnEncoding::kRunLength,
+       "080108010002026162010001106162636465666768696a6b6c6d6e6f70010f746865"
+       "2020717569636b20666f7820010280ff01026162"},
+      {ColumnEncoding::kBytedict,
+       "0801080500026162106162636465666768696a6b6c6d6e6f700f7468652020717569"
+       "636b20666f78200280ff0001010002030401"},
+      {ColumnEncoding::kText255,
+       "08010807026162106162636465666768696a6b6c6d6e6f7003746865000571756963"
+       "6b03666f780280ff000100010000010105020304050301060100"},
+      {ColumnEncoding::kLz,
+       "32320801080002616202616200106162636465666768696a6b6c6d6e6f700f746865"
+       "2020717569636b20666f78200280ff0261620000"},
+  };
+  for (const auto& [e, hex] : golden) {
+    Bytes out;
+    ASSERT_TRUE(EncodeColumn(e, v, &out).ok());
+    EXPECT_EQ(Hex(out), hex) << ColumnEncodingName(e);
+    auto decoded = DecodeColumn(e, TypeId::kString, out);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ExpectEqualVectors(v, *decoded);
+  }
+  // BYTEDICT also keys numeric columns by their 8 raw bytes.
+  ColumnVector ints(TypeId::kInt64);
+  for (int64_t x : {5, -1, 5, 300}) ints.AppendInt(x);
+  ints.AppendNull();
+  ColumnVector doubles(TypeId::kDouble);
+  for (double x : {1.5, -0.0, 1.5}) doubles.AppendDouble(x);
+  const std::pair<const ColumnVector*, const char*> numeric[] = {
+      {&ints,
+       "0501100408050000000000000008ffffffffffffffff082c01000000000000080000"
+       "0000000000000001000203"},
+      {&doubles, "03000208000000000000f83f080000000000000080000100"},
+  };
+  for (const auto& [values, hex] : numeric) {
+    Bytes out;
+    ASSERT_TRUE(EncodeColumn(ColumnEncoding::kBytedict, *values, &out).ok());
+    EXPECT_EQ(Hex(out), hex) << TypeName(values->type());
+    auto decoded = DecodeColumn(ColumnEncoding::kBytedict, values->type(), out);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    ExpectEqualVectors(*values, *decoded);
   }
 }
 

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -592,6 +594,298 @@ TEST_P(DifferentialTest, FilteredCountsMatchAPlainLoop) {
                                   arms[a].name + ": " + sql;
       EXPECT_EQ(count_on(warehouses[a].get(), sql, context), expected)
           << context;
+    }
+  }
+}
+
+// The VARCHAR oracle: one column per VARCHAR encoding, each holding the
+// same values, and every statement over each column checked against a
+// plain loop over the inserted rows. The values cover the empty string,
+// the 15/16/17-byte small-string boundary, 300-byte strings, bytes
+// 0x80-0xFF, multi-word text with doubled and edge spaces, a quote, NULLs,
+// and a run of distinct values long enough that every block holding it has
+// more than 255 distinct values (BYTEDICT escapes, TEXT255 literals).
+
+const char* const kVarcharColumns[] = {"r", "l", "b", "t", "z"};
+
+/// One inserted row of v(id, g, r, l, b, t, z): every VARCHAR column
+/// holds `s`.
+struct VarcharRow {
+  int64_t id;
+  int64_t g;
+  std::optional<std::string> s;
+};
+
+std::vector<std::string> VarcharPool() {
+  return {"",
+          "abcdefghijklmno",    // 15 bytes: the longest small string
+          "abcdefghijklmnop",   // 16
+          "abcdefghijklmnopq",  // 17
+          "abd",
+          "b",
+          std::string(300, 'z'),
+          "abc" + std::string(297, 'q'),
+          "\x80",
+          "\xff\xfe",
+          "caf\xc3\xa9",
+          std::string(20, '\xf0'),
+          "the quick brown fox",
+          "the  lazy dog ",
+          " leading space",
+          "it's"};
+}
+
+std::vector<VarcharRow> VarcharRows(uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<std::string> pool = VarcharPool();
+  std::vector<VarcharRow> rows;
+  for (int64_t i = 0; i < 2600; ++i) {
+    VarcharRow r{i, i % 7, std::nullopt};
+    if (i < 1200) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "u-%04lld", static_cast<long long>(i));
+      r.s = buf;
+    } else if (!rng.Bernoulli(0.1)) {
+      r.s = pool[rng.Uniform(pool.size())];
+    }
+    rows.push_back(std::move(r));
+  }
+  return rows;
+}
+
+std::string SqlQuote(const std::string& s) {
+  std::string out = "'";
+  for (char c : s) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  return out + "'";
+}
+
+/// The oracle's rendering of a value, as the engine prints it.
+std::string Render(const std::optional<std::string>& s) {
+  return s ? "'" + *s + "'" : "NULL";
+}
+
+/// Every row of a result, each value rendered and joined by '|'.
+std::vector<std::string> RenderRows(const exec::Batch& batch) {
+  std::vector<std::string> out;
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    std::string line;
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      line += (c > 0 ? "|" : "") + batch.columns[c].DatumAt(r).ToString();
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST_P(DifferentialTest, VarcharCodecsMatchAPlainLoop) {
+  const uint64_t seed = GetParam();
+  const std::vector<VarcharRow> rows = VarcharRows(seed * 7907 + 3);
+  const std::vector<std::string> pool = VarcharPool();
+  // The join's build side: a key per pool value (two for some), a NULL.
+  std::vector<std::pair<std::optional<std::string>, int64_t>> dim;
+  for (size_t i = 0; i < pool.size(); i += 2) {
+    dim.emplace_back(pool[i], static_cast<int64_t>(i));
+    if (i % 4 == 0) dim.emplace_back(pool[i], 100);
+  }
+  dim.emplace_back("u-0007", 7);
+  dim.emplace_back(std::nullopt, 1);
+
+  const OracleArm arms[] = {
+      {"1x1-serial", 1, 1, 512, "", ExecutionMode::kCompiled, 0},
+      {"2x2-pooled", 2, 2, 512, "DISTKEY(id)", ExecutionMode::kCompiled, 4},
+      {"2x1-sorted", 2, 1, 128, "SORTKEY(b)", ExecutionMode::kCompiled, -1},
+      {"1x2-interp", 1, 2, 256, "SORTKEY(t)", ExecutionMode::kInterpreted, 0},
+  };
+  std::vector<std::unique_ptr<warehouse::Warehouse>> warehouses;
+  for (const OracleArm& arm : arms) {
+    warehouse::WarehouseOptions options;
+    options.cluster = Config(arm.nodes, arm.slices);
+    options.cluster.storage.max_rows_per_block = arm.block_rows;
+    options.exec.mode = arm.mode;
+    options.exec.pool_size = arm.pool_size;
+    options.cache.enable_result_cache = false;
+    auto wh = std::make_unique<warehouse::Warehouse>(options);
+    auto created = wh->Execute(
+        "CREATE TABLE v (id BIGINT, g BIGINT, r VARCHAR ENCODE raw, "
+        "l VARCHAR ENCODE runlength, b VARCHAR ENCODE bytedict, "
+        "t VARCHAR ENCODE text255, z VARCHAR ENCODE lzo) " +
+        arm.table_options);
+    ASSERT_TRUE(created.ok()) << arm.name << ": " << created.status();
+    ASSERT_TRUE(wh->Execute("CREATE TABLE w (k VARCHAR ENCODE bytedict, "
+                            "tag BIGINT) DISTSTYLE EVEN")
+                    .ok());
+    std::vector<ColumnVector> cols;
+    cols.emplace_back(TypeId::kInt64);
+    cols.emplace_back(TypeId::kInt64);
+    for (size_t c = 0; c < std::size(kVarcharColumns); ++c) {
+      cols.emplace_back(TypeId::kString);
+    }
+    for (const VarcharRow& r : rows) {
+      cols[0].AppendInt(r.id);
+      cols[1].AppendInt(r.g);
+      for (size_t c = 2; c < cols.size(); ++c) {
+        SDW_CHECK_OK(
+            cols[c].AppendDatum(r.s ? Datum::String(*r.s) : Datum::Null()));
+      }
+    }
+    SDW_CHECK_OK(wh->data_plane()->InsertRows("v", cols));
+    ColumnVector k(TypeId::kString), tag(TypeId::kInt64);
+    for (const auto& [key, t] : dim) {
+      SDW_CHECK_OK(k.AppendDatum(key ? Datum::String(*key) : Datum::Null()));
+      tag.AppendInt(t);
+    }
+    std::vector<ColumnVector> dim_cols;
+    dim_cols.push_back(std::move(k));
+    dim_cols.push_back(std::move(tag));
+    SDW_CHECK_OK(wh->data_plane()->InsertRows("w", dim_cols));
+    // Every block of each VARCHAR column has the encoding it forced.
+    auto blocks = wh->Execute(
+        "SELECT col, encoding, COUNT(*) FROM stv_blocklist WHERE tbl = 'v' "
+        "GROUP BY col, encoding ORDER BY 1, 2");
+    ASSERT_TRUE(blocks.ok()) << arm.name << ": " << blocks.status();
+    std::map<std::string, std::string> encodings;
+    for (size_t i = 0; i < blocks->rows.num_rows(); ++i) {
+      const std::string col = blocks->rows.columns[0].DatumAt(i).ToString();
+      EXPECT_EQ(encodings.count(col), 0u) << arm.name << ": " << col;
+      encodings[col] = blocks->rows.columns[1].DatumAt(i).ToString();
+    }
+    EXPECT_EQ(encodings["'r'"], "'RAW'") << arm.name;
+    EXPECT_EQ(encodings["'l'"], "'RUNLENGTH'") << arm.name;
+    EXPECT_EQ(encodings["'b'"], "'BYTEDICT'") << arm.name;
+    EXPECT_EQ(encodings["'t'"], "'TEXT255'") << arm.name;
+    EXPECT_EQ(encodings["'z'"], "'LZO'") << arm.name;
+    warehouses.push_back(std::move(wh));
+  }
+
+  struct Check {
+    std::string sql;
+    std::vector<std::string> expected;
+    bool join;
+  };
+  auto count_check = [&](const std::string& col, const std::string& where,
+                         auto pred) {
+    int64_t n = 0;
+    for (const VarcharRow& r : rows) n += r.s && pred(*r.s) ? 1 : 0;
+    return Check{"SELECT COUNT(*) AS n FROM v WHERE " + where,
+                 {std::to_string(n)},
+                 false};
+  };
+
+  Rng rng(seed * 4001 + 9);
+  auto pick = [&] { return pool[rng.Uniform(pool.size())]; };
+  std::vector<Check> checks;
+  for (const char* col : kVarcharColumns) {
+    const std::string c = col;
+    const std::string eq = pick();
+    checks.push_back(count_check(c, c + " = " + SqlQuote(eq),
+                                 [&](const std::string& s) { return s == eq; }));
+    std::string lo = pick();
+    std::string hi = pick();
+    if (hi < lo) std::swap(lo, hi);
+    checks.push_back(count_check(
+        c, c + " >= " + SqlQuote(lo) + " AND " + c + " < " + SqlQuote(hi),
+        [&](const std::string& s) { return s >= lo && s < hi; }));
+    const std::string in_a = pick();
+    const std::string in_b = pick();
+    checks.push_back(count_check(
+        c, c + " IN (" + SqlQuote(in_a) + ", " + SqlQuote(in_b) + ", 'u-0042')",
+        [&](const std::string& s) {
+          return s == in_a || s == in_b || s == "u-0042";
+        }));
+    for (const std::string prefix : {"abc", "u-01", "\xf0\xf0", "the "}) {
+      checks.push_back(count_check(
+          c, c + " LIKE " + SqlQuote(prefix + "%"), [&](const std::string& s) {
+            return s.compare(0, prefix.size(), prefix) == 0;
+          }));
+    }
+
+    // GROUP BY the column: NULL groups first, then byte order.
+    std::map<std::optional<std::string>, int64_t> by_value;
+    for (const VarcharRow& r : rows) ++by_value[r.s];
+    Check group{"SELECT " + c + ", COUNT(*), MIN(" + c + "), MAX(" + c +
+                    ") FROM v GROUP BY " + c + " ORDER BY 1",
+                {},
+                false};
+    for (const auto& [key, n] : by_value) {
+      group.expected.push_back(Render(key) + "|" + std::to_string(n) + "|" +
+                               Render(key) + "|" + Render(key));
+    }
+    checks.push_back(std::move(group));
+
+    // MIN and MAX of the column within integer groups.
+    struct Extremes {
+      int64_t count = 0;
+      std::optional<std::string> min, max;
+    };
+    std::map<int64_t, Extremes> by_g;
+    for (const VarcharRow& r : rows) {
+      Extremes& e = by_g[r.g];
+      if (!r.s) continue;
+      ++e.count;
+      if (!e.min || *r.s < *e.min) e.min = r.s;
+      if (!e.max || *r.s > *e.max) e.max = r.s;
+    }
+    Check extremes{"SELECT g, COUNT(" + c + "), MIN(" + c + "), MAX(" + c +
+                       ") FROM v GROUP BY g ORDER BY 1",
+                   {},
+                   false};
+    for (const auto& [g, e] : by_g) {
+      extremes.expected.push_back(std::to_string(g) + "|" +
+                                  std::to_string(e.count) + "|" +
+                                  Render(e.min) + "|" + Render(e.max));
+    }
+    checks.push_back(std::move(extremes));
+
+    // A join on the VARCHAR key, grouped on the build side's key.
+    std::map<std::string, std::pair<int64_t, int64_t>> joined;
+    for (const VarcharRow& r : rows) {
+      if (!r.s) continue;
+      for (const auto& [key, t] : dim) {
+        if (key && *key == *r.s) {
+          joined[*key].first += 1;
+          joined[*key].second += t;
+        }
+      }
+    }
+    Check join{"SELECT w.k, COUNT(*), SUM(w.tag) FROM v JOIN w ON v." + c +
+                   " = w.k GROUP BY w.k ORDER BY 1",
+               {},
+               true};
+    for (const auto& [key, cs] : joined) {
+      join.expected.push_back(Render(key) + "|" + std::to_string(cs.first) +
+                              "|" + std::to_string(cs.second));
+    }
+    checks.push_back(std::move(join));
+
+    // ORDER BY the column (descending puts NULLs last), ties by id.
+    std::vector<const VarcharRow*> sorted;
+    for (const VarcharRow& r : rows) sorted.push_back(&r);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const VarcharRow* a, const VarcharRow* b) {
+                if (a->s != b->s) return a->s > b->s;
+                return a->id < b->id;
+              });
+    Check top{"SELECT " + c + ", id FROM v ORDER BY 1 DESC, 2 LIMIT 40",
+              {},
+              false};
+    for (size_t i = 0; i < 40; ++i) {
+      top.expected.push_back(Render(sorted[i]->s) + "|" +
+                             std::to_string(sorted[i]->id));
+    }
+    checks.push_back(std::move(top));
+  }
+
+  for (const Check& check : checks) {
+    for (size_t a = 0; a < warehouses.size(); ++a) {
+      if (check.join && arms[a].mode == ExecutionMode::kInterpreted) continue;
+      const std::string context = "seed " + std::to_string(seed) + " arm " +
+                                  arms[a].name + ": " + check.sql;
+      auto r = warehouses[a]->Execute(check.sql);
+      ASSERT_TRUE(r.ok()) << context << ": " << r.status();
+      EXPECT_EQ(RenderRows(r->rows), check.expected) << context;
     }
   }
 }

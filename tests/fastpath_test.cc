@@ -70,8 +70,6 @@ TEST(TakeLanesTest, WrapWithoutCopy) {
   EXPECT_FALSE(v.has_nulls());
   ColumnVector d = ColumnVector::TakeDoubles({1.5, 2.5});
   EXPECT_DOUBLE_EQ(d.DoubleAt(1), 2.5);
-  ColumnVector s = ColumnVector::TakeStrings({"a", "b"});
-  EXPECT_EQ(s.StringAt(0), "a");
 }
 
 // ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ TEST(FilterFastPathTest, MatchesRowByRowSemantics) {
     auto keep = pred->EvalRow(batch.RowAt(i));
     ASSERT_TRUE(keep.ok());
     if (!keep->is_null() && keep->int_value() != 0) {
-      expected.push_back(batch.columns[1].StringAt(i));
+      expected.emplace_back(batch.columns[1].StringAt(i));
     }
   }
   // Fast path through the operator.

@@ -397,7 +397,7 @@ TEST(SystemTablesTest, ScanTelemetryFeedsStlScan) {
   ASSERT_GT(r->rows.num_rows(), 0u);
   bool saw_selective = false;
   for (size_t i = 0; i < r->rows.num_rows(); ++i) {
-    const std::string preds = r->rows.columns[2].StringAt(i);
+    const std::string preds(r->rows.columns[2].StringAt(i));
     if (preds.find("k >= 5") == std::string::npos) continue;
     saw_selective = true;
     EXPECT_NE(preds.find("k <= 5"), std::string::npos) << preds;

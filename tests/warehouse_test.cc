@@ -122,6 +122,29 @@ TEST_F(WarehouseTest, ResizeKeepsServing) {
             6);
 }
 
+// A resize whose commit fails with an ordinary error (the log's region
+// is down, no crash) swaps nothing and leaves the source writable.
+TEST_F(WarehouseTest, FailedResizeLeavesTheClusterWritable) {
+  MustRun("CREATE TABLE t (a BIGINT)");
+  MustRun("INSERT INTO t VALUES (1), (2)");
+  backup::S3Region* region = wh_->s3()->region("us-east-1");
+  region->set_available(false);
+  auto failed = wh_->Resize(3);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable)
+      << failed.status();
+  region->set_available(true);
+  EXPECT_FALSE(wh_->crashed());
+  EXPECT_EQ(wh_->data_plane()->num_nodes(), 2);
+  EXPECT_FALSE(wh_->data_plane()->read_only());
+  MustRun("INSERT INTO t VALUES (3)");
+  auto resized = wh_->Resize(3);
+  ASSERT_TRUE(resized.ok()) << resized.status();
+  EXPECT_EQ(wh_->data_plane()->num_nodes(), 3);
+  EXPECT_EQ(MustRun("SELECT SUM(a) AS s FROM t").rows.columns[0].IntAt(0), 6);
+  MustRun("INSERT INTO t VALUES (4)");
+}
+
 TEST_F(WarehouseTest, BetweenInAndLikePrefix) {
   MustRun("CREATE TABLE logs (day BIGINT, path VARCHAR, code BIGINT) "
           "SORTKEY(day)");
